@@ -6,8 +6,10 @@
 // ingestion counters.
 //
 //   $ ./live_pipeline [incident_count] [--obs] [--chaos] [--steps N]
-//                     [--serve PORT] [--snapshot-dir DIR] [--backend NAME]
+//                     [--serve PORT] [--snapshot-dir DIR]
 //
+// Counts must be whole decimal numbers >= 1 and PORT must lie in 0-65535;
+// anything else (or an unknown flag) prints the usage line and exits 2.
 // --obs dumps the observability registry (counters, gauges, latency
 // histograms from every pipeline layer) after the day completes.
 // --chaos runs the measurement plane degraded: 20% probe loss, 10% per-hop
@@ -25,16 +27,16 @@
 // (when present) replaces the warmup — the run resumes exactly where the
 // saved run stopped; on clean exit the final state is written back. The
 // verdict store rides along in the same file when --serve is active.
-// --backend hashmap|columnar picks the learner/verdict state representation
-// (results are bit-identical; columnar is the memory-bounded path).
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -51,6 +53,25 @@
 namespace {
 std::atomic<bool> g_interrupted{false};
 void on_sigint(int) { g_interrupted.store(true); }
+
+/// The whole of `text` as a decimal integer in [lo, hi]; nullopt otherwise.
+std::optional<int> parse_int(const char* text, int lo, int hi) {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+int usage() {
+  std::fputs(
+      "usage: live_pipeline [incident_count>=1] [--obs] [--chaos] "
+      "[--steps N>=1] [--serve PORT(0-65535)] [--snapshot-dir DIR]\n",
+      stderr);
+  return 2;
+}
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,31 +83,25 @@ int main(int argc, char** argv) {
   int steps = util::kMinutesPerDay / 15;
   int serve_port = -1;
   std::string snapshot_dir;
-  auto backend = store::StateBackend::kHashMap;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--obs") == 0) {
       dump_obs = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       with_chaos = true;
     } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      steps = std::atoi(argv[++i]);
+      const auto n = parse_int(argv[++i], 1, INT_MAX);
+      if (!n) return usage();
+      steps = *n;
     } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
-      serve_port = std::atoi(argv[++i]);
+      const auto port = parse_int(argv[++i], 0, 65535);
+      if (!port) return usage();
+      serve_port = *port;
     } else if (std::strcmp(argv[i], "--snapshot-dir") == 0 && i + 1 < argc) {
       snapshot_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "columnar") {
-        backend = store::StateBackend::kColumnar;
-      } else if (name == "hashmap") {
-        backend = store::StateBackend::kHashMap;
-      } else {
-        std::fprintf(stderr, "unknown --backend %s (hashmap|columnar)\n",
-                     name.c_str());
-        return 2;
-      }
     } else {
-      incident_count = std::atoi(argv[i]);
+      const auto n = parse_int(argv[i], 1, INT_MAX);
+      if (!n) return usage();
+      incident_count = *n;
     }
   }
   std::printf("== live pipeline: %d steps, %d incidents%s ==\n", steps,
@@ -109,7 +124,6 @@ int main(int argc, char** argv) {
   // defaults; spelled out because the chaos config comes after them.
   core::BlameItConfig pipe_cfg;
   pipe_cfg.expected_rtt_window_days = 2;
-  pipe_cfg.state_backend = backend;
   net::TopologyConfig topo_cfg;
   topo_cfg.locations_per_region = 1;
   topo_cfg.eyeballs_per_region = 4;
@@ -160,8 +174,8 @@ int main(int argc, char** argv) {
   if (serve_port >= 0) {
     std::signal(SIGINT, on_sigint);
     std::signal(SIGTERM, on_sigint);
-    store = std::make_unique<svc::VerdictStore>(svc::VerdictStore::Config{
-        .backend = backend, .registry = &stack->registry});
+    store = std::make_unique<svc::VerdictStore>(
+        svc::VerdictStore::Config{.registry = &stack->registry});
     service =
         std::make_unique<svc::VerdictService>(store.get(), &stack->registry);
     svc::HttpServerConfig http_cfg;

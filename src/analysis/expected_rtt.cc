@@ -23,129 +23,74 @@ ExpectedRttKey middle_key(net::CloudLocationId location,
                         static_cast<std::uint64_t>(device)};
 }
 
-ExpectedRttLearner::ExpectedRttLearner(ExpectedRttConfig config)
-    : config_(config) {
-  if (config_.window_days < 1 || config_.reservoir_per_day < 1) {
+namespace {
+
+store::ReservoirStoreConfig validated_store_config(
+    const ExpectedRttConfig& config) {
+  if (config.window_days < 1 || config.reservoir_per_day < 1) {
     throw std::invalid_argument{"ExpectedRttConfig: invalid window/reservoir"};
   }
-  if (config_.transfer_discount < 1.0 || config_.transfer_max_age_days < 1) {
+  if (config.transfer_discount < 1.0 || config.transfer_max_age_days < 1) {
     throw std::invalid_argument{
         "ExpectedRttConfig: transfer discount must be >= 1 and max age >= 1"};
   }
-  if (config_.backend == store::StateBackend::kColumnar) {
-    store::ReservoirStoreConfig store_config;
-    store_config.reservoir_cap = config_.reservoir_per_day;
-    store_config.metric_prefix = "store.learner";
-    store_config.registry = config_.registry;
-    store_ = std::make_unique<store::ReservoirStore>(std::move(store_config));
-  }
+  return store::ReservoirStoreConfig{.reservoir_cap = config.reservoir_per_day,
+                                     .metric_prefix = "store.learner",
+                                     .registry = config.registry};
+}
+
+}  // namespace
+
+ExpectedRttLearner::ExpectedRttLearner(ExpectedRttConfig config)
+    : config_(config), store_(validated_store_config(config_)) {
   memo_hits_c_ = obs::counter(config_.registry, "learner.memo_hits");
   memo_misses_c_ = obs::counter(config_.registry, "learner.memo_misses");
   evictions_c_ = obs::counter(config_.registry, "learner.reservoir_evictions");
   tracked_keys_g_ = obs::gauge(config_.registry, "learner.tracked_keys");
 }
 
+void ExpectedRttLearner::clear_memo() {
+  memo_.clear();
+  memo_max_day_ = INT_MIN;
+}
+
 void ExpectedRttLearner::observe(ExpectedRttKey key, int day, double rtt_ms) {
   if (day < 0 || rtt_ms < 0.0) {
     throw std::invalid_argument{"ExpectedRttLearner: negative day or RTT"};
   }
-  if (store_) {
-    // Same cache rule as the hash path: an observation can only fall inside
-    // a cached window when the cached query day lies ahead of it.
-    if (!columnar_memo_.empty()) {
-      const auto it = columnar_memo_.find(key.packed);
-      if (it != columnar_memo_.end() && it->second.cache_day > day) {
-        columnar_memo_.erase(it);
-      }
-    }
-    store_->observe(key.packed, day, rtt_ms);
-    obs::set(tracked_keys_g_, static_cast<double>(store_->tracked_keys()));
-    return;
-  }
-  auto& history = histories_[key];
-  obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
-  if (history.days.empty() || history.days.back().day < day) {
-    history.days.push_back(DayReservoir{.day = day, .seen = 0, .sample = {}});
-    keys_by_day_[day].push_back(key);  // one eviction-list entry per reservoir
-  } else if (history.days.back().day > day) {
-    throw std::invalid_argument{
-        "ExpectedRttLearner: observations must arrive day-ordered"};
-  }
-  // A cached median for query day q pools days [q - window, q - 1]; this
-  // observation lands on `day`, inside that window only when q > day. The
-  // steady state — cache and observations both on the current day — keeps
-  // the cache warm, which is the whole point.
-  if (history.cache_day > day) history.cache_day = INT_MIN;
-  auto& reservoir = history.days.back();
-  ++reservoir.seen;
-  const auto cap = static_cast<std::size_t>(config_.reservoir_per_day);
-  if (reservoir.sample.size() < cap) {
-    reservoir.sample.push_back(rtt_ms);
-  } else {
-    // Algorithm R: keep a uniform sample of the day's stream, deterministic
-    // via a counter-seeded hash rather than shared RNG state.
-    const std::uint64_t slot =
-        util::hash_combine(key.packed,
-                           util::hash_combine(
-                               static_cast<std::uint64_t>(day),
-                               reservoir.seen)) %
-        reservoir.seen;
-    if (slot < cap) reservoir.sample[static_cast<std::size_t>(slot)] = rtt_ms;
-  }
+  // A memoized median for query day q pools days [q - window, q - 1], so
+  // this observation can land inside a memoized window only when q > day;
+  // then the whole memo goes (cleared entries recompute identically). The
+  // steady state — memo and observations both on the current day — never
+  // clears, which is the whole point.
+  if (day < memo_max_day_) clear_memo();
+  store_.observe(key.packed, day, rtt_ms);
+  obs::set(tracked_keys_g_, static_cast<double>(store_.tracked_keys()));
 }
 
-std::optional<double> ExpectedRttLearner::pooled_median(
-    const KeyHistory& history, int day) const {
+std::optional<double> ExpectedRttLearner::window_median(std::uint64_t key,
+                                                        int day) const {
   static thread_local std::vector<double> pool;
   pool.clear();
-  for (const auto& reservoir : history.days) {
-    if (reservoir.day >= day || reservoir.day < day - config_.window_days) {
-      continue;
-    }
-    pool.insert(pool.end(), reservoir.sample.begin(), reservoir.sample.end());
-  }
-  if (pool.empty()) return std::nullopt;
-  return util::median_inplace(pool);
-}
-
-std::optional<double> ExpectedRttLearner::columnar_median(std::uint64_t key,
-                                                          int day) const {
-  static thread_local std::vector<double> pool;
-  pool.clear();
-  store_->collect_window(key, day, config_.window_days, pool);
+  store_.collect_window(key, day, config_.window_days, pool);
   if (pool.empty()) return std::nullopt;
   return util::median_inplace(pool);
 }
 
 std::optional<double> ExpectedRttLearner::expected(ExpectedRttKey key,
                                                    int day) const {
-  if (store_) {
-    if (!store_->contains(key.packed)) return std::nullopt;
-    if (!config_.memoize_medians) return columnar_median(key.packed, day);
-    std::lock_guard lock{cache_mutex_};
-    auto& memo = columnar_memo_[key.packed];
-    if (memo.cache_day != day) {
-      obs::add(memo_misses_c_);
-      memo.cache_value = columnar_median(key.packed, day);
-      memo.cache_day = day;
-    } else {
-      obs::add(memo_hits_c_);
-    }
-    return memo.cache_value;
-  }
-  const auto it = histories_.find(key);
-  if (it == histories_.end()) return std::nullopt;
-  const KeyHistory& history = it->second;
-  if (!config_.memoize_medians) return pooled_median(history, day);
+  if (!store_.contains(key.packed)) return std::nullopt;
   std::lock_guard lock{cache_mutex_};
-  if (history.cache_day != day) {
+  auto& memo = memo_[key.packed];
+  if (memo.cache_day != day) {
     obs::add(memo_misses_c_);
-    history.cache_value = pooled_median(history, day);
-    history.cache_day = day;
+    memo.cache_value = window_median(key.packed, day);
+    memo.cache_day = day;
+    memo_max_day_ = std::max(memo_max_day_, day);
   } else {
     obs::add(memo_hits_c_);
   }
-  return history.cache_value;
+  return memo.cache_value;
 }
 
 GradedExpectation ExpectedRttLearner::expected_with_provenance(
@@ -202,19 +147,7 @@ bool ExpectedRttLearner::recently_churned(ExpectedRttKey key, int day) const {
 
 std::size_t ExpectedRttLearner::history_size(ExpectedRttKey key,
                                              int day) const {
-  if (store_) {
-    return store_->window_sample_count(key.packed, day, config_.window_days);
-  }
-  const auto it = histories_.find(key);
-  if (it == histories_.end()) return 0;
-  std::size_t n = 0;
-  for (const auto& reservoir : it->second.days) {
-    if (reservoir.day >= day || reservoir.day < day - config_.window_days) {
-      continue;
-    }
-    n += reservoir.sample.size();
-  }
-  return n;
+  return store_.window_sample_count(key.packed, day, config_.window_days);
 }
 
 void ExpectedRttLearner::evict_stale(int day) {
@@ -227,89 +160,33 @@ void ExpectedRttLearner::evict_stale(int day) {
       ++it;
     }
   }
-  if (store_) {
-    const std::size_t dropped =
-        store_->evict_stale(day - config_.window_days);
-    obs::add(evictions_c_, dropped);
-    // Dropped reservoirs may sit inside the window of a cached older query
-    // day; recomputation is deterministic, so a blanket clear is safe.
-    if (dropped > 0) columnar_memo_.clear();
-    obs::set(tracked_keys_g_, static_cast<double>(store_->tracked_keys()));
-    return;
-  }
-  const int cutoff = day - config_.window_days;
-  // Only visit day buckets past the cutoff: each bucket lists the keys that
-  // created a reservoir on that day, so work tracks what expires rather
-  // than the full tracked-key count.
-  for (auto bucket = keys_by_day_.begin();
-       bucket != keys_by_day_.end() && bucket->first < cutoff;) {
-    for (const ExpectedRttKey key : bucket->second) {
-      const auto it = histories_.find(key);
-      if (it == histories_.end()) continue;  // already fully evicted
-      auto& history = it->second;
-      bool popped = false;
-      while (!history.days.empty() && history.days.front().day < cutoff) {
-        history.days.pop_front();
-        popped = true;
-        obs::add(evictions_c_);
-      }
-      // A popped reservoir may sit inside the window of a cached (older)
-      // query day, so any cached value is suspect now.
-      if (popped) history.cache_day = INT_MIN;
-      if (history.days.empty()) {
-        histories_.erase(it);  // keys that churned away must not leak
-      }
-    }
-    bucket = keys_by_day_.erase(bucket);
-  }
-  obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
+  const std::size_t dropped = store_.evict_stale(day - config_.window_days);
+  obs::add(evictions_c_, dropped);
+  // Dropped reservoirs may sit inside the window of a memoized older query
+  // day; recomputation is deterministic, so a blanket clear is safe.
+  if (dropped > 0) clear_memo();
+  obs::set(tracked_keys_g_, static_cast<double>(store_.tracked_keys()));
 }
 
+// Learner payload format 2: format varint, the backend varint (always 1 —
+// columnar; 0 marked state of the removed hash-map backend), the transfer
+// side table, then the ReservoirStore payload. Format 1 lacks the table.
 void ExpectedRttLearner::save_state(store::SnapshotWriter& writer) const {
   std::string& out = writer.section("learner");
-  // Format 2 = format 1 + the trailing transfer side table. The table is
-  // serialized identically on both backends (std::map order), so transferred
-  // provenance round-trips bit-identically everywhere.
   store::put_varint(out, 2);  // learner payload format
-  store::put_varint(
-      out, config_.backend == store::StateBackend::kColumnar ? 1 : 0);
-  const auto put_transfers = [&] {
-    store::put_varint(out, transfers_.size());
-    std::uint64_t prev = 0;
-    for (const auto& [key, entry] : transfers_) {
-      store::put_varint(out, key - prev);
-      prev = key;
-      store::put_svarint(out, entry.day);
-      store::put_f64(out, entry.value);
-      store::put_varint(out, entry.from_key);
-    }
-  };
-  if (store_) {
-    // Transfers go BEFORE the columnar payload: ReservoirStore::restore
-    // consumes to the end of the section (its own expect_done).
-    put_transfers();
-    store_->save(out);
-    return;
-  }
-  std::vector<std::uint64_t> keys;
-  keys.reserve(histories_.size());
-  for (const auto& [key, history] : histories_) keys.push_back(key.packed);
-  std::sort(keys.begin(), keys.end());
-  store::put_varint(out, keys.size());
+  store::put_varint(out, 1);  // backend: columnar
+  // Transfers go BEFORE the store payload: ReservoirStore::restore consumes
+  // to the end of the section (its own expect_done).
+  store::put_varint(out, transfers_.size());
   std::uint64_t prev = 0;
-  for (const std::uint64_t packed : keys) {
-    const KeyHistory& history = histories_.at(ExpectedRttKey{packed});
-    store::put_varint(out, packed - prev);
-    prev = packed;
-    store::put_varint(out, history.days.size());
-    for (const DayReservoir& reservoir : history.days) {
-      store::put_svarint(out, reservoir.day);
-      store::put_varint(out, reservoir.seen);
-      store::put_varint(out, reservoir.sample.size());
-      for (const double v : reservoir.sample) store::put_f64(out, v);
-    }
+  for (const auto& [key, entry] : transfers_) {
+    store::put_varint(out, key - prev);
+    prev = key;
+    store::put_svarint(out, entry.day);
+    store::put_f64(out, entry.value);
+    store::put_varint(out, entry.from_key);
   }
-  put_transfers();
+  store_.save(out);
 }
 
 void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
@@ -318,86 +195,36 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
   if (format != 1 && format != 2) {
     in.fail("unsupported learner payload format " + std::to_string(format));
   }
-  const std::uint64_t saved_backend = in.varint();
-  const std::uint64_t want_backend =
-      config_.backend == store::StateBackend::kColumnar ? 1 : 0;
-  if (saved_backend != want_backend) {
-    in.fail(std::string{"snapshot was written by the "} +
-            (saved_backend == 1 ? "columnar" : "hashmap") +
-            " backend but this learner is configured for " +
-            std::string{to_string(config_.backend)});
+  const std::uint64_t backend = in.varint();
+  if (backend == 0) {
+    in.fail("snapshot holds hash-map learner state; the hash-map backend was "
+            "removed (only columnar snapshots restore)");
   }
-  const auto read_transfers = [&] {
-    std::map<std::uint64_t, TransferEntry> transfers;
-    if (format >= 2) {
-      const std::uint64_t n = in.varint();
-      if (n > (std::uint64_t{1} << 40)) in.fail("transfer count absurd");
-      std::uint64_t prev = 0;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        prev += in.varint();
-        TransferEntry entry;
-        const std::int64_t day64 = in.svarint();
-        if (day64 < 0 || day64 > INT_MAX) in.fail("transfer day out of range");
-        entry.day = static_cast<int>(day64);
-        entry.value = in.f64();
-        entry.from_key = in.varint();
-        if (!transfers.emplace(prev, entry).second) {
-          in.fail("duplicate transfer key");
-        }
-      }
-    }
-    return transfers;
-  };
-  if (store_) {
-    auto transfers = read_transfers();
-    store_->restore(in);  // consumes the rest of the section, expect_done'd
-    transfers_ = std::move(transfers);
-    columnar_memo_.clear();
-    obs::set(tracked_keys_g_, static_cast<double>(store_->tracked_keys()));
-    return;
+  if (backend != 1) {
+    in.fail("unknown learner backend " + std::to_string(backend));
   }
-  std::unordered_map<ExpectedRttKey, KeyHistory, KeyHash> histories;
-  std::map<int, std::vector<ExpectedRttKey>> keys_by_day;
-  const std::uint64_t n_keys = in.varint();
-  if (n_keys > (std::uint64_t{1} << 40)) in.fail("key count absurd");
-  histories.reserve(static_cast<std::size_t>(n_keys));
-  std::uint64_t prev = 0;
-  for (std::uint64_t k = 0; k < n_keys; ++k) {
-    prev += in.varint();
-    const ExpectedRttKey key{prev};
-    KeyHistory& history = histories[key];
-    const std::uint64_t n_days = in.varint();
-    if (n_days > (std::uint64_t{1} << 32)) in.fail("day count absurd");
-    int last_day = INT_MIN;
-    for (std::uint64_t d = 0; d < n_days; ++d) {
-      DayReservoir reservoir;
+  std::map<std::uint64_t, TransferEntry> transfers;
+  if (format >= 2) {
+    const std::uint64_t n = in.varint();
+    if (n > (std::uint64_t{1} << 40)) in.fail("transfer count absurd");
+    std::uint64_t prev = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      prev += in.varint();
+      TransferEntry entry;
       const std::int64_t day64 = in.svarint();
-      if (day64 < 0 || day64 > INT_MAX) in.fail("reservoir day out of range");
-      reservoir.day = static_cast<int>(day64);
-      if (reservoir.day <= last_day) {
-        in.fail("reservoir days not strictly ascending");
+      if (day64 < 0 || day64 > INT_MAX) in.fail("transfer day out of range");
+      entry.day = static_cast<int>(day64);
+      entry.value = in.f64();
+      entry.from_key = in.varint();
+      if (!transfers.emplace(prev, entry).second) {
+        in.fail("duplicate transfer key");
       }
-      last_day = reservoir.day;
-      reservoir.seen = in.varint();
-      const std::uint64_t n_samples = in.varint();
-      if (n_samples >
-          static_cast<std::uint64_t>(config_.reservoir_per_day)) {
-        in.fail("sample count exceeds reservoir cap");
-      }
-      reservoir.sample.reserve(static_cast<std::size_t>(n_samples));
-      for (std::uint64_t s = 0; s < n_samples; ++s) {
-        reservoir.sample.push_back(in.f64());
-      }
-      keys_by_day[reservoir.day].push_back(key);
-      history.days.push_back(std::move(reservoir));
     }
   }
-  auto transfers = read_transfers();
-  in.expect_done();
-  histories_ = std::move(histories);
-  keys_by_day_ = std::move(keys_by_day);
+  store_.restore(in);  // consumes the rest of the section, expect_done'd
   transfers_ = std::move(transfers);
-  obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
+  clear_memo();
+  obs::set(tracked_keys_g_, static_cast<double>(store_.tracked_keys()));
 }
 
 }  // namespace blameit::analysis

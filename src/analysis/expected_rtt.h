@@ -6,21 +6,20 @@
 // catch shifts that stay below the region target (the paper's 40 ms→55 ms
 // worked example).
 //
-// Two interchangeable state backends (ExpectedRttConfig::backend):
-//  - kHashMap: per-key deques of day reservoirs, the original reference path.
-//  - kColumnar: a store::ReservoirStore — sorted immutable blocks + memtable,
-//    memory-bounded and snapshot-friendly. Requires globally day-ordered
-//    observations (which is how the pipeline feeds the learner).
-// Both produce bit-identical expected() values on the same feed; the hash
-// path stays as the reference the columnar path is tested against.
+// State lives in a store::ReservoirStore — sorted immutable ⟨key, day⟩
+// blocks + a current-day memtable, memory-bounded and snapshot-friendly. It
+// requires GLOBALLY day-ordered observations (all keys share one mutable
+// day), which is how the pipeline feeds the learner.
 //
 // The pooled median is memoized per ⟨key, query day⟩: the 14-day window only
 // changes at day rollover, yet expected() is consulted once per group per
-// 5-minute bucket, so without the cache the same pool was rebuilt and
-// re-medianed hundreds of times a day. The cache is invalidated by observe()
-// when an observation could fall inside a cached window (only possible when
-// the cached query day lies ahead of the observation day) and by
-// evict_stale() whenever it drops reservoirs.
+// 5-minute bucket, so without the memo the same pool was rebuilt and
+// re-medianed hundreds of times a day. An observation can only fall inside a
+// memoized window when the query day lies ahead of it, so observe() clears
+// the whole memo when its day is below the highest query day memoized (never
+// in the pipeline, which queries the day it observes); evict_stale() clears
+// it whenever it drops reservoirs. Both clears are safe because a cleared
+// entry is recomputed deterministically.
 //
 // Threading contract: observe(), evict_stale(), save_state(), and
 // restore_state() must be externally serialized with all other calls;
@@ -30,13 +29,10 @@
 
 #include <climits>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "net/bgp.h"
 #include "net/cloud.h"
@@ -87,15 +83,9 @@ struct ExpectedRttConfig {
   /// Transfers older than this many days stop being served (and are evicted)
   /// — by then the window either has real history or the path is gone.
   int transfer_max_age_days = 3;
-  /// Serve repeated expected() queries from the per-⟨key, day⟩ median cache.
-  /// Off = recompute per call (the pre-cache behavior; kept as an A/B knob
-  /// for the perf benches).
-  bool memoize_medians = true;
-  /// Which state representation holds the reservoirs (see file comment).
-  store::StateBackend backend = store::StateBackend::kHashMap;
-  /// Optional metrics sink (memoization hit/miss, evictions, tracked keys;
-  /// the columnar backend additionally exports store.learner.* block/
-  /// memtable/merge metrics); null = no instrumentation, zero overhead.
+  /// Optional metrics sink (memoization hit/miss, evictions, tracked keys,
+  /// and the store.learner.* block/memtable/merge metrics); null = no
+  /// instrumentation, zero overhead.
   obs::Registry* registry = nullptr;
 };
 
@@ -110,6 +100,8 @@ class ExpectedRttLearner {
   ExpectedRttLearner& operator=(const ExpectedRttLearner&) = delete;
 
   /// Feeds one observation (a quartet's mean RTT) for `key` on `day`.
+  /// Throws std::invalid_argument when `day` precedes the day of an earlier
+  /// observation of ANY key (globally day-ordered contract).
   void observe(ExpectedRttKey key, int day, double rtt_ms);
 
   /// Median over days [day - window, day - 1]; nullopt when no history.
@@ -153,54 +145,33 @@ class ExpectedRttLearner {
   }
 
   /// Drops per-day reservoirs older than `day - window` (memory bound) and
-  /// erases keys whose history becomes empty — without the erase, churned
-  /// keys (BGP paths that stop being used) would grow the map forever.
-  /// Incremental: only day buckets past the cutoff are visited, so the cost
-  /// tracks what expires, not the total tracked-key count.
+  /// forgets keys whose history becomes empty — otherwise churned keys (BGP
+  /// paths that stop being used) would be tracked forever. Incremental: only
+  /// blocks holding expired days are touched, so the cost tracks what
+  /// expires, not the total tracked-key count.
   void evict_stale(int day);
 
   /// Keys with at least one live reservoir (memory-regression observability).
   [[nodiscard]] std::size_t tracked_keys() const noexcept {
-    return store_ ? store_->tracked_keys() : histories_.size();
+    return store_.tracked_keys();
   }
 
-  [[nodiscard]] store::StateBackend backend() const noexcept {
-    return config_.backend;
-  }
-
-  /// Writes the full reservoir state as snapshot section "learner". Memo
-  /// caches are not persisted (recomputation yields identical values).
+  /// Writes the full reservoir state as snapshot section "learner". The memo
+  /// is not persisted (recomputation yields identical values).
   void save_state(store::SnapshotWriter& writer) const;
-  /// Replaces the reservoir state from a snapshot. The snapshot must have
-  /// been written by the same backend (the section records which).
+  /// Replaces the reservoir state from a snapshot. Throws store::
+  /// SnapshotError on a malformed section or one holding state of the
+  /// removed hash-map backend.
   void restore_state(const store::SnapshotReader& reader);
 
  private:
-  struct DayReservoir {
-    int day = -1;
-    std::uint64_t seen = 0;
-    std::vector<double> sample;
-  };
-  struct KeyHistory {
-    std::deque<DayReservoir> days;  // ascending by day
-    // Memoized expected() result for query day cache_day (guarded by
-    // cache_mutex_; mutable because filling the cache is logically const).
-    mutable int cache_day = INT_MIN;
-    mutable std::optional<double> cache_value;
-  };
-  struct KeyHash {
-    std::size_t operator()(const ExpectedRttKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.packed);
-    }
-  };
-  struct ColumnarMemo {
+  struct Memo {
     int cache_day = INT_MIN;
     std::optional<double> cache_value;
   };
   /// One inherited baseline: the (undiscounted) value captured from the
-  /// source at transfer time. Held OUTSIDE the reservoir backends: the
-  /// columnar store requires globally day-ordered rows, which forbids
-  /// seeding past days, and a side table keeps both backends bit-identical.
+  /// source at transfer time. Held OUTSIDE the reservoir store, which
+  /// requires globally day-ordered rows and so forbids seeding past days.
   struct TransferEntry {
     int day = -1;                ///< day the transfer was recorded
     double value = 0.0;          ///< source median at transfer time
@@ -209,21 +180,21 @@ class ExpectedRttLearner {
 
   /// Pools the window's reservoirs into a reused scratch buffer and takes
   /// the median (nth_element, no per-call allocation).
-  [[nodiscard]] std::optional<double> pooled_median(const KeyHistory& history,
+  [[nodiscard]] std::optional<double> window_median(std::uint64_t key,
                                                     int day) const;
-  [[nodiscard]] std::optional<double> columnar_median(std::uint64_t key,
-                                                      int day) const;
+  /// Drops every memoized median (see the file comment for when).
+  void clear_memo();
 
   ExpectedRttConfig config_;
-  std::unordered_map<ExpectedRttKey, KeyHistory, KeyHash> histories_;
-  /// Day -> keys that created a reservoir on that day; lets evict_stale()
-  /// visit only expired reservoirs instead of scanning every tracked key.
-  std::map<int, std::vector<ExpectedRttKey>> keys_by_day_;
-  std::unique_ptr<store::ReservoirStore> store_;  // columnar backend only
+  store::ReservoirStore store_;
   /// Key → inherited baseline. std::map: deterministic iteration order makes
-  /// the snapshot bytes identical on both backends.
+  /// the snapshot bytes deterministic.
   std::map<std::uint64_t, TransferEntry> transfers_;
-  mutable std::unordered_map<std::uint64_t, ColumnarMemo> columnar_memo_;
+  mutable std::unordered_map<std::uint64_t, Memo> memo_;
+  /// Highest query day memoized since the last clear (guarded by
+  /// cache_mutex_ in expected(); observe() reads it under the external
+  /// serialization contract).
+  mutable int memo_max_day_ = INT_MIN;
   mutable std::mutex cache_mutex_;
 
   // Instruments (null without a registry).

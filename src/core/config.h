@@ -4,8 +4,6 @@
 
 #include <cstdint>
 
-#include "store/reservoir_store.h"
-
 namespace blameit::core {
 
 struct BlameItConfig {
@@ -24,18 +22,6 @@ struct BlameItConfig {
   /// cloud location). 1 = serial, 0 = one per hardware core. Output is
   /// bit-identical for every value — this is purely a throughput knob.
   int analytics_threads = 1;
-
-  /// Serve expected-RTT medians from the per-⟨key, day⟩ cache (recompute
-  /// only at day rollover). Off = legacy recompute-per-query behavior; kept
-  /// as an A/B knob for the perf benches.
-  bool memoize_expected_rtt = true;
-
-  /// State representation for the expected-RTT learner (and, via the
-  /// service config, the verdict store): kHashMap is the original reference
-  /// path, kColumnar the memory-bounded sorted-block store. Both are
-  /// bit-identical on the same feed — this is a memory/layout knob, never a
-  /// results knob.
-  store::StateBackend state_backend = store::StateBackend::kHashMap;
 
   /// How often the passive job runs (§6.1: every 15 minutes).
   int cadence_minutes = 15;

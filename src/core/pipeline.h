@@ -124,9 +124,8 @@ class BlameItPipeline {
   /// state on the next step).
   void save_snapshot(store::SnapshotWriter& writer) const;
   /// Replaces this pipeline's learned/cursor state from a snapshot. The
-  /// pipeline must have been constructed with the same config (notably the
-  /// same learner backend). On exception the pipeline state is unspecified;
-  /// discard it.
+  /// pipeline must have been constructed with the same config. On exception
+  /// the pipeline state is unspecified; discard it.
   void restore_snapshot(const store::SnapshotReader& reader);
 
  private:

@@ -63,8 +63,8 @@ void ReservoirStore::observe(std::uint64_t key, int day, double rtt_ms) {
     row.sample.push_back(rtt_ms);
     ++memtable_samples_;
   } else {
-    // Algorithm R, counter-seeded — the exact slot arithmetic of the hash
-    // reference path, so the two backends keep identical samples.
+    // Algorithm R: keep a uniform sample of the day's stream, deterministic
+    // via a counter-seeded hash rather than shared RNG state.
     const std::uint64_t slot =
         util::hash_combine(
             key, util::hash_combine(static_cast<std::uint64_t>(day),

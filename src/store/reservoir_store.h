@@ -13,14 +13,13 @@
 // (keys / days / sample-offsets / samples), so a key's window is two binary
 // searches + a contiguous scan instead of a per-key heap allocation. Day
 // ranges of successive blocks are disjoint and ascending, which keeps a
-// key's rows in ascending-day order across the block list — the exact
-// iteration order of the hash-map reference path, making the two backends
-// bit-identical (same pooled-median input sequence, same Algorithm-R slot
-// arithmetic).
+// key's rows in ascending-day order across the block list, so a key's
+// pooled-median input sequence is its days ascending, insertion order
+// within a day — independent of how far merging got.
 //
-// Stricter input contract than the hash path: observations must be GLOBALLY
-// day-ordered (all keys share one mutable day), which is how the pipeline
-// feeds it anyway. Mutations (observe/evict/restore) must be externally
+// Input contract: observations must be GLOBALLY day-ordered (all keys share
+// one mutable day), which is how the pipeline feeds it. Mutations
+// (observe/evict/restore) must be externally
 // serialized with all other calls; reads may run concurrently with each
 // other. The background merge thread only ever reads shared_ptr-held
 // immutable blocks; its result is integrated on the owner thread at the
@@ -32,7 +31,6 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,16 +38,6 @@
 #include "store/encoding.h"
 
 namespace blameit::store {
-
-/// Which state representation backs a component (learner / verdict store).
-enum class StateBackend : std::uint8_t {
-  kHashMap,   ///< per-key hash maps (the original reference path)
-  kColumnar,  ///< sorted immutable blocks + memtable (memory-bounded)
-};
-
-[[nodiscard]] constexpr std::string_view to_string(StateBackend b) noexcept {
-  return b == StateBackend::kColumnar ? "columnar" : "hashmap";
-}
 
 struct ReservoirStoreConfig {
   int reservoir_cap = 256;  ///< Algorithm-R per-day sample bound
@@ -99,7 +87,7 @@ class ReservoirStore {
 
   /// Appends every sample of `key` with day in [day - window_days, day - 1]
   /// to `pool`, days ascending, insertion order within a day — the pooled-
-  /// median input sequence, identical to the hash path's.
+  /// median input sequence.
   void collect_window(std::uint64_t key, int day, int window_days,
                       std::vector<double>& pool) const;
 

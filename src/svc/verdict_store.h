@@ -4,10 +4,12 @@
 // snapshots without ever blocking the publisher (or being blocked by it).
 //
 // Concurrency design (epoch/RCU-style):
-//  - Verdicts are sharded by client /24. Each shard is an immutable
-//    std::shared_ptr<const map>; publish() builds replacement maps off to
-//    the side and swaps the pointers (SnapshotSlot below). Readers load
-//    the pointer once and query a frozen map — nothing is held across the
+//  - Verdicts are sharded by client /24. Each shard is an immutable block
+//    of key-sorted columns held by std::shared_ptr; publish() merges the
+//    step's upserts into a replacement block off to the side and swaps the
+//    pointer (SnapshotSlot below). The block is also the publisher's
+//    working state, so publishing copies nothing. Readers load the pointer
+//    once and binary-search a frozen block — nothing is held across the
 //    lookup, no torn reads, and a reader keeps its snapshot alive for as
 //    long as it holds the pointer.
 //  - Incident timelines, recent diagnoses, and health live in one
@@ -38,7 +40,6 @@
 #include "core/pipeline.h"
 #include "net/ipv4.h"
 #include "obs/registry.h"
-#include "store/reservoir_store.h"
 #include "store/snapshot.h"
 #include "util/time.h"
 
@@ -104,6 +105,8 @@ struct Verdict {
   util::TimeBucket bucket;  ///< bucket the verdict was computed from
   double mean_rtt_ms = 0.0;
   int sample_count = 0;
+
+  bool operator==(const Verdict&) const = default;
 };
 
 /// One incident run on the timeline: consecutive buckets over which the
@@ -141,12 +144,6 @@ class VerdictStore {
     std::size_t max_closed_incidents = 1024;
     /// Recent diagnoses kept for /v1/diagnoses (newest win).
     std::size_t max_diagnoses = 256;
-    /// Which representation holds the live verdict rows. kHashMap keeps a
-    /// mutable working map per shard plus an immutable published copy (the
-    /// reference path); kColumnar keeps one immutable sorted column block
-    /// per shard that doubles as the published snapshot — no copy on
-    /// publish, roughly 3-4x less steady-state memory per verdict.
-    store::StateBackend backend = store::StateBackend::kHashMap;
     obs::Registry* registry = nullptr;
   };
 
@@ -194,25 +191,25 @@ class VerdictStore {
   }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// Approximate bytes held by the live verdict rows (working state plus
-  /// published snapshots; excludes incident/diagnosis rings, which both
-  /// backends share). Publisher-thread only.
+  /// Approximate bytes held by the live verdict rows (the published column
+  /// blocks plus any pending upserts; excludes the incident/diagnosis
+  /// rings). Publisher-thread only.
   [[nodiscard]] std::size_t verdict_state_bytes() const;
 
   /// Writes the full store state as snapshot section "verdicts" (verdict
-  /// rows in a backend-independent key-sorted normal form, plus incident
-  /// runs, diagnosis ring, and health counters). Publisher-thread only.
+  /// rows in a globally key-sorted normal form, plus incident runs,
+  /// diagnosis ring, and health counters). Publisher-thread only.
   void save_state(store::SnapshotWriter& writer) const;
   /// Replaces the store state from a snapshot and republishes reader
-  /// snapshots. Works across backends (the normal form carries no layout).
-  /// Publisher-thread only; concurrent readers see either the old or the
-  /// fully-restored state per shard.
+  /// snapshots. The normal form carries no shard layout, so any shard count
+  /// restores it. Publisher-thread only; concurrent readers see either the
+  /// old or the fully-restored state per shard.
   void restore_state(const store::SnapshotReader& reader);
 
  private:
   using Key = std::uint64_t;  // block << 16 | location
-  using ShardMap = std::unordered_map<Key, Verdict>;
-  using ShardPtr = std::shared_ptr<const ShardMap>;
+  /// One shard's upserts since the last publish.
+  using Delta = std::unordered_map<Key, Verdict>;
 
   /// One shard's verdicts as immutable parallel columns sorted by key.
   /// ~43 bytes/row vs ~130+ for an unordered_map node of Verdict, and the
@@ -256,27 +253,21 @@ class VerdictStore {
     return static_cast<std::size_t>(x) % shards_.size();
   }
 
-  [[nodiscard]] bool columnar() const noexcept {
-    return config_.backend == store::StateBackend::kColumnar;
-  }
-
   void fold_blames(const core::StepReport& report);
   void fold_incidents(const core::StepReport& report);
   void publish_timeline(const core::StepReport& report);
   /// Merges a shard's pending delta into its column block and ages expired
   /// rows; publishes the new block (which is also the new working state).
-  void rebuild_columnar_shard(std::size_t i, std::int64_t horizon);
+  void rebuild_shard(std::size_t i, std::int64_t horizon);
   void publish_restored_timeline(util::MinuteTime last_step, bool degraded);
 
   Config config_;
 
-  // Publisher-private working state (only the publish thread touches it).
-  std::vector<ShardMap> work_;           // mutable mirror of the shards
-  std::vector<bool> dirty_;              // which shards changed this publish
-  // Columnar backend: per-shard pending upserts and the current immutable
-  // block (the same shared_ptr the reader slot holds).
-  std::vector<ShardMap> delta_;
-  std::vector<std::shared_ptr<const VerdictColumns>> ccur_;
+  // Publisher-private working state (only the publish thread touches it):
+  // per-shard pending upserts and the current immutable block (the same
+  // shared_ptr the reader slot holds).
+  std::vector<Delta> delta_;
+  std::vector<std::shared_ptr<const VerdictColumns>> current_;
   util::TimeBucket newest_bucket_{0};
 
   struct OpenRun {
@@ -290,8 +281,7 @@ class VerdictStore {
   std::uint64_t degraded_steps_ = 0;
 
   // Shared state (publisher swaps, readers load).
-  std::vector<SnapshotSlot<const ShardMap>> shards_;
-  std::vector<SnapshotSlot<const VerdictColumns>> cshards_;
+  std::vector<SnapshotSlot<const VerdictColumns>> shards_;
   SnapshotSlot<const Timeline> timeline_;
   std::atomic<std::uint64_t> epoch_{0};
 

@@ -2,13 +2,102 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <vector>
+
+#include "util/stats.h"
 
 namespace blameit::analysis {
 namespace {
 
 const auto kLoc = net::CloudLocationId{3};
 const auto kKey = cloud_key(kLoc, net::DeviceClass::NonMobile);
+
+/// Reference learner: per key, a plain list of ⟨day, seen, samples⟩
+/// reservoirs with the same Algorithm-R slot rule, re-pooled and
+/// re-medianed on every query — no memo, no blocks, no merges.
+class Oracle {
+ public:
+  explicit Oracle(const ExpectedRttConfig& cfg)
+      : window_(cfg.window_days),
+        cap_(static_cast<std::size_t>(cfg.reservoir_per_day)) {}
+
+  void observe(ExpectedRttKey key, int day, double rtt_ms) {
+    auto& days = reservoirs_[key.packed];
+    if (days.empty() || days.back().day != day) days.push_back({day, 0, {}});
+    Reservoir& r = days.back();
+    ++r.seen;
+    if (r.samples.size() < cap_) {
+      r.samples.push_back(rtt_ms);
+      return;
+    }
+    const std::uint64_t slot =
+        util::hash_combine(key.packed,
+                           util::hash_combine(static_cast<std::uint64_t>(day),
+                                              r.seen)) %
+        r.seen;
+    if (slot < cap_) r.samples[static_cast<std::size_t>(slot)] = rtt_ms;
+  }
+
+  void evict_stale(int day) {
+    for (auto it = reservoirs_.begin(); it != reservoirs_.end();) {
+      std::erase_if(it->second,
+                    [&](const Reservoir& r) { return r.day < day - window_; });
+      it = it->second.empty() ? reservoirs_.erase(it) : std::next(it);
+    }
+  }
+
+  [[nodiscard]] std::optional<double> expected(ExpectedRttKey key,
+                                               int day) const {
+    std::vector<double> pool = window(key, day);
+    if (pool.empty()) return std::nullopt;
+    return util::median_inplace(pool);
+  }
+  [[nodiscard]] std::size_t history_size(ExpectedRttKey key, int day) const {
+    return window(key, day).size();
+  }
+  [[nodiscard]] std::size_t tracked_keys() const { return reservoirs_.size(); }
+
+ private:
+  struct Reservoir {
+    int day;
+    std::uint64_t seen;
+    std::vector<double> samples;
+  };
+
+  [[nodiscard]] std::vector<double> window(ExpectedRttKey key, int day) const {
+    std::vector<double> pool;
+    const auto it = reservoirs_.find(key.packed);
+    if (it == reservoirs_.end()) return pool;
+    for (const Reservoir& r : it->second) {
+      if (r.day < day && r.day >= day - window_) {
+        pool.insert(pool.end(), r.samples.begin(), r.samples.end());
+      }
+    }
+    return pool;
+  }
+
+  int window_;
+  std::size_t cap_;
+  std::map<std::uint64_t, std::vector<Reservoir>> reservoirs_;
+};
+
+/// expected() and history_size() of every key in `keys` for query days
+/// [0, last_day] equal the oracle's, bit for bit.
+void expect_matches(const ExpectedRttLearner& learner, const Oracle& oracle,
+                    const std::vector<ExpectedRttKey>& keys, int last_day) {
+  EXPECT_EQ(learner.tracked_keys(), oracle.tracked_keys());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    for (int day = 0; day <= last_day; ++day) {
+      ASSERT_EQ(learner.expected(keys[k], day), oracle.expected(keys[k], day))
+          << "key " << k << " day " << day;
+      ASSERT_EQ(learner.history_size(keys[k], day),
+                oracle.history_size(keys[k], day))
+          << "key " << k << " day " << day;
+    }
+  }
+}
 
 TEST(ExpectedRttKeys, DistinctNamespaces) {
   const auto ck = cloud_key(kLoc, net::DeviceClass::NonMobile);
@@ -123,23 +212,37 @@ TEST(ExpectedRttLearner, CacheInvalidatedByEvictStale) {
 }
 
 TEST(ExpectedRttLearner, MemoizationDoesNotChangeResults) {
-  ExpectedRttConfig cached_cfg;
-  ExpectedRttConfig uncached_cfg;
-  uncached_cfg.memoize_medians = false;
-  ExpectedRttLearner cached{cached_cfg};
-  ExpectedRttLearner uncached{uncached_cfg};
+  ExpectedRttLearner learner;
+  Oracle oracle{ExpectedRttConfig{}};
   util::Rng rng{11};
   for (int day = 0; day < 6; ++day) {
+    // Before the day's observations every query up to `day` is a memo hit
+    // from the previous day's pass; after them, `day + 1` is recomputed.
+    expect_matches(learner, oracle, {kKey}, day);
     for (int i = 0; i < 400; ++i) {  // overflows the reservoir too
       const double rtt = rng.uniform(20.0, 90.0);
-      cached.observe(kKey, day, rtt);
-      uncached.observe(kKey, day, rtt);
+      learner.observe(kKey, day, rtt);
+      oracle.observe(kKey, day, rtt);
     }
-    for (int q = 0; q <= day + 1; ++q) {
-      ASSERT_EQ(cached.expected(kKey, q), uncached.expected(kKey, q))
-          << "day " << day << " query " << q;
-    }
+    expect_matches(learner, oracle, {kKey}, day + 1);
   }
+}
+
+TEST(ExpectedRttLearner, ObserveInsideCachedWindowInvalidates) {
+  ExpectedRttLearner learner;
+  Oracle oracle{ExpectedRttConfig{}};
+  const auto observe = [&](int day, double rtt) {
+    learner.observe(kKey, day, rtt);
+    oracle.observe(kKey, day, rtt);
+  };
+  observe(0, 10.0);
+  EXPECT_DOUBLE_EQ(learner.expected(kKey, 3).value(), 10.0);  // memoized
+  // Days 1-2 land inside the memoized day-3 window: serving the memo would
+  // still answer 10.
+  observe(1, 50.0);
+  observe(2, 90.0);
+  EXPECT_EQ(learner.expected(kKey, 3), oracle.expected(kKey, 3));
+  EXPECT_DOUBLE_EQ(learner.expected(kKey, 3).value(), 50.0);
 }
 
 TEST(ExpectedRttLearner, EvictErasesEmptiedKeys) {
@@ -221,101 +324,138 @@ TEST(ExpectedRttLearner, WorkedExampleFromPaper) {
   EXPECT_NEAR(bad_by_target / 3000.0, 2.0 / 3.0, 0.05);
 }
 
-// --- Columnar backend: bit-identical to the hash-map reference path. ---
+// --- Learner vs oracle over a churning, evicting feed ---------------------
 
-ExpectedRttConfig backend_config(store::StateBackend backend) {
+ExpectedRttConfig small_config() {
   ExpectedRttConfig cfg;
-  cfg.backend = backend;
   cfg.reservoir_per_day = 8;  // small cap so Algorithm R actually evicts
   cfg.window_days = 3;        // short window so evict_stale() really drops
   return cfg;
 }
 
-/// Feeds both backends the identical day-ordered stream: many keys, sample
-/// counts past the reservoir cap (so slot arithmetic matters), day gaps,
-/// and an eviction partway through.
-void parity_feed(ExpectedRttLearner& learner) {
+const std::vector<ExpectedRttKey> kFeedKeys = [] {
+  std::vector<ExpectedRttKey> keys;
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    keys.push_back(middle_key(net::CloudLocationId{7}, net::MiddleSegmentId{k},
+                              net::DeviceClass::NonMobile));
+  }
+  return keys;
+}();
+
+/// Feeds learner and oracle the identical day-ordered stream: many keys,
+/// sample counts past the reservoir cap (so slot arithmetic matters), a
+/// silent day 7, and an eviction partway through. Checks every ⟨key, day⟩
+/// answer before and after each day's observations, so memo hits and
+/// recomputations are both compared.
+void parity_feed(ExpectedRttLearner& learner, Oracle& oracle) {
   for (int day = 0; day < 20; ++day) {
+    expect_matches(learner, oracle, kFeedKeys, day);
     if (day == 7) continue;  // a silent day
-    for (int k = 0; k < 6; ++k) {
-      const auto key = middle_key(net::CloudLocationId{7},
-                                  net::MiddleSegmentId{(unsigned)k},
-                                  net::DeviceClass::NonMobile);
-      const int samples = 3 + 5 * k;  // some keys overflow the cap of 8
+    for (std::size_t k = 0; k < kFeedKeys.size(); ++k) {
+      const int samples = 3 + 5 * static_cast<int>(k);  // some overflow 8
       for (int s = 0; s < samples; ++s) {
-        learner.observe(key, day, 30.0 + k * 7 + day * 0.25 + s * 0.125);
+        const double rtt = 30.0 + k * 7 + day * 0.25 + s * 0.125;
+        learner.observe(kFeedKeys[k], day, rtt);
+        oracle.observe(kFeedKeys[k], day, rtt);
       }
     }
-    if (day == 12) learner.evict_stale(day - 6);
+    if (day == 12) {
+      learner.evict_stale(day - 6);
+      oracle.evict_stale(day - 6);
+    }
+    expect_matches(learner, oracle, kFeedKeys, day + 1);
   }
 }
 
-TEST(ExpectedRttBackends, ColumnarMatchesHashMapBitForBit) {
-  ExpectedRttLearner hash{backend_config(store::StateBackend::kHashMap)};
-  ExpectedRttLearner columnar{backend_config(store::StateBackend::kColumnar)};
-  parity_feed(hash);
-  parity_feed(columnar);
-
-  EXPECT_EQ(hash.tracked_keys(), columnar.tracked_keys());
-  for (int k = 0; k < 6; ++k) {
-    const auto key = middle_key(net::CloudLocationId{7},
-                                net::MiddleSegmentId{(unsigned)k},
-                                net::DeviceClass::NonMobile);
-    for (int day = 0; day <= 21; ++day) {
-      const auto h = hash.expected(key, day);
-      const auto c = columnar.expected(key, day);
-      ASSERT_EQ(h.has_value(), c.has_value()) << "key " << k << " day " << day;
-      if (h) {
-        // Bit-level equality, not near: both backends must pool the same
-        // samples in the same order.
-        EXPECT_EQ(*h, *c) << "key " << k << " day " << day;
-      }
-      EXPECT_EQ(hash.history_size(key, day), columnar.history_size(key, day));
-    }
-  }
+TEST(ExpectedRttOracle, MatchesOracleBitForBit) {
+  ExpectedRttLearner learner{small_config()};
+  Oracle oracle{small_config()};
+  parity_feed(learner, oracle);
+  expect_matches(learner, oracle, kFeedKeys, 21);
 }
 
-TEST(ExpectedRttBackends, EvictStaleParityAfterChurn) {
-  ExpectedRttLearner hash{backend_config(store::StateBackend::kHashMap)};
-  ExpectedRttLearner columnar{backend_config(store::StateBackend::kColumnar)};
+TEST(ExpectedRttOracle, EvictStaleMatchesOracleAfterChurn) {
+  ExpectedRttLearner learner{small_config()};
+  Oracle oracle{small_config()};
   const auto churned = cloud_key(net::CloudLocationId{1},
                                  net::DeviceClass::Mobile);
   const auto steady = cloud_key(net::CloudLocationId{2},
                                 net::DeviceClass::Mobile);
-  for (auto* learner : {&hash, &columnar}) {
-    learner->observe(churned, 0, 11.0);
-    for (int day = 0; day < 10; ++day) learner->observe(steady, day, 22.0);
-    learner->evict_stale(8);  // churned key's only reservoir expires
+  learner.observe(churned, 0, 11.0);
+  oracle.observe(churned, 0, 11.0);
+  for (int day = 0; day < 10; ++day) {
+    learner.observe(steady, day, 22.0);
+    oracle.observe(steady, day, 22.0);
   }
-  EXPECT_EQ(hash.tracked_keys(), 1u);
-  EXPECT_EQ(columnar.tracked_keys(), 1u);
-  EXPECT_FALSE(columnar.expected(churned, 10).has_value());
-  EXPECT_EQ(hash.expected(steady, 10), columnar.expected(steady, 10));
+  learner.evict_stale(8);  // churned key's only reservoir expires
+  oracle.evict_stale(8);
+  EXPECT_EQ(learner.tracked_keys(), 1u);
+  expect_matches(learner, oracle, {churned, steady}, 11);
 }
 
-TEST(ExpectedRttBackends, SaveRestoreRoundTripsEachBackend) {
-  for (const auto backend :
-       {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-    ExpectedRttLearner learner{backend_config(backend)};
-    parity_feed(learner);
+TEST(ExpectedRttOracle, SaveRestoreContinuesLikeOracle) {
+  ExpectedRttLearner learner{small_config()};
+  Oracle oracle{small_config()};
+  parity_feed(learner, oracle);
 
-    store::SnapshotWriter writer;
-    learner.save_state(writer);
-    const auto reader =
-        store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
+  store::SnapshotWriter writer;
+  learner.save_state(writer);
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
+  ExpectedRttLearner restored{small_config()};
+  restored.restore_state(reader);
+  expect_matches(restored, oracle, kFeedKeys, 21);
 
-    ExpectedRttLearner restored{backend_config(backend)};
-    restored.restore_state(reader);
-    EXPECT_EQ(restored.tracked_keys(), learner.tracked_keys());
-    for (int k = 0; k < 6; ++k) {
-      const auto key = middle_key(net::CloudLocationId{7},
-                                  net::MiddleSegmentId{(unsigned)k},
-                                  net::DeviceClass::NonMobile);
-      for (int day = 18; day <= 21; ++day) {
-        EXPECT_EQ(learner.expected(key, day), restored.expected(key, day))
-            << to_string(backend) << " key " << k << " day " << day;
-      }
+  // The restored memtable keeps accepting the current day, then the next.
+  for (const int day : {19, 20}) {
+    for (std::size_t k = 0; k < kFeedKeys.size(); ++k) {
+      restored.observe(kFeedKeys[k], day, 60.0 + k);
+      oracle.observe(kFeedKeys[k], day, 60.0 + k);
     }
+  }
+  expect_matches(restored, oracle, kFeedKeys, 22);
+}
+
+/// A learner snapshot section by hand: payload format 2, `backend`, no
+/// transfers, then one memtable row of 42 ms on day 4 in the reservoir
+/// store's payload.
+std::string learner_payload(std::uint64_t backend) {
+  std::string out;
+  store::put_varint(out, 2);  // learner payload format
+  store::put_varint(out, backend);
+  store::put_varint(out, 0);  // transfers
+  store::put_varint(out, 1);  // reservoir store payload format
+  store::put_svarint(out, 4);  // memtable day
+  store::put_varint(out, 1);   // memtable rows
+  store::put_varint(out, kKey.packed);
+  store::put_varint(out, 1);  // seen
+  store::put_varint(out, 1);  // samples
+  store::put_f64(out, 42.0);
+  store::put_varint(out, 0);  // frozen rows
+  return out;
+}
+
+TEST(ExpectedRttLearner, SnapshotBackendByteMustBeColumnar) {
+  const auto restore = [](std::uint64_t backend, ExpectedRttLearner& into) {
+    store::SnapshotWriter writer;
+    writer.section("learner") = learner_payload(backend);
+    into.restore_state(
+        store::SnapshotReader::from_bytes(writer.serialize(), "<old>"));
+  };
+  // Byte 1: columnar state saved by any earlier build still restores.
+  ExpectedRttLearner learner;
+  restore(1, learner);
+  EXPECT_EQ(learner.expected(kKey, 5), 42.0);
+  // Byte 0: state of the removed hash-map backend is refused by name.
+  ExpectedRttLearner refused;
+  try {
+    restore(0, refused);
+    FAIL() << "restored a hash-map learner payload";
+  } catch (const store::SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"learner\""), std::string::npos) << what;
+    EXPECT_NE(what.find("hash-map backend was removed"), std::string::npos)
+        << what;
   }
 }
 
@@ -420,31 +560,27 @@ TEST(BaselineTransfer, ChainedTransferCompoundsDiscount) {
 }
 
 TEST(BaselineTransfer, SnapshotParityOfTransferredProvenance) {
-  // Transferred provenance must survive snapshot/restore bit-identically on
-  // BOTH state backends.
-  for (const auto backend :
-       {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-    ExpectedRttLearner learner{backend_config(backend)};
-    for (int day = 0; day < 3; ++day) {
-      for (int i = 0; i < 4; ++i) learner.observe(kOldPath, day, 44.0);
-    }
-    ASSERT_TRUE(learner.transfer_baseline(kOldPath, kNewPath, 3));
-
-    store::SnapshotWriter writer;
-    learner.save_state(writer);
-    const auto reader =
-        store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
-    ExpectedRttLearner restored{backend_config(backend)};
-    restored.restore_state(reader);
-
-    EXPECT_EQ(restored.transfer_count(), 1u) << to_string(backend);
-    const auto before = learner.expected_with_provenance(kNewPath, 3);
-    const auto after = restored.expected_with_provenance(kNewPath, 3);
-    ASSERT_TRUE(after.value.has_value()) << to_string(backend);
-    EXPECT_EQ(*before.value, *after.value) << to_string(backend);
-    EXPECT_EQ(after.provenance, BaselineProvenance::kTransferred);
-    EXPECT_TRUE(restored.recently_churned(kNewPath, 3));
+  // Transferred provenance must survive snapshot/restore bit-identically.
+  ExpectedRttLearner learner{small_config()};
+  for (int day = 0; day < 3; ++day) {
+    for (int i = 0; i < 4; ++i) learner.observe(kOldPath, day, 44.0);
   }
+  ASSERT_TRUE(learner.transfer_baseline(kOldPath, kNewPath, 3));
+
+  store::SnapshotWriter writer;
+  learner.save_state(writer);
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
+  ExpectedRttLearner restored{small_config()};
+  restored.restore_state(reader);
+
+  EXPECT_EQ(restored.transfer_count(), 1u);
+  const auto before = learner.expected_with_provenance(kNewPath, 3);
+  const auto after = restored.expected_with_provenance(kNewPath, 3);
+  ASSERT_TRUE(after.value.has_value());
+  EXPECT_EQ(*before.value, *after.value);
+  EXPECT_EQ(after.provenance, BaselineProvenance::kTransferred);
+  EXPECT_TRUE(restored.recently_churned(kNewPath, 3));
 }
 
 }  // namespace

@@ -315,61 +315,56 @@ TEST_F(PipelineTest, RegistryObservesEveryStage) {
 
 TEST_F(PipelineTest, SnapshotRestoreContinuesBitIdentically) {
   // A pipeline killed mid-incident and restored from its snapshot must emit
-  // the exact blame/diagnosis stream of an uninterrupted pipeline — for both
-  // state backends. This is the contract live_pipeline --snapshot-dir and
-  // the restart scenario packs stand on.
+  // the exact blame/diagnosis stream of an uninterrupted pipeline. This is
+  // the contract live_pipeline --snapshot-dir and the restart scenario packs
+  // stand on.
   faults_.add(sim::Fault{.kind = sim::FaultKind::MiddleAs,
                          .as = used_transit(*topo_, net::Region::Europe),
                          .added_ms = 120.0,
                          .start = util::MinuteTime::from_day_hour(2, 10),
                          .duration_minutes = 120});
-  for (const auto backend :
-       {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-    BlameItConfig cfg = shortened_config();
-    cfg.state_backend = backend;
+  const BlameItConfig cfg = shortened_config();
 
-    const auto run = [&](std::optional<int> restart_after_minute) {
-      build(cfg);
-      warm(2);
-      std::vector<std::vector<BlameResult>> blames;
-      std::vector<std::uint32_t> diag_culprits;
-      for (int minute = 9 * 60 + 15; minute <= 12 * 60; minute += 15) {
-        const auto report = pipeline_->step(
-            util::MinuteTime::from_days(2).plus_minutes(minute));
-        blames.push_back(report.blames);
-        for (const auto& diag : report.diagnoses) {
-          diag_culprits.push_back(diag.culprit ? diag.culprit->value : 0);
-        }
-        if (restart_after_minute && minute == *restart_after_minute) {
-          store::SnapshotWriter writer;
-          pipeline_->save_snapshot(writer);
-          auto reader = store::SnapshotReader::from_bytes(writer.serialize(),
-                                                          "<restart>");
-          auto source = [this](util::TimeBucket bucket) {
-            analysis::QuartetBuilder builder{topo_,
-                                             analysis::BadnessThresholds{}};
-            generator_->generate_aggregates(
-                bucket,
-                [&](const analysis::QuartetKey& k, int n, double mean) {
-                  builder.add_aggregate(k, n, mean);
-                });
-            return builder.take_bucket(bucket);
-          };
-          pipeline_.reset();  // kill mid-incident
-          pipeline_ = std::make_unique<BlameItPipeline>(topo_, engine_.get(),
-                                                        source, cfg);
-          pipeline_->restore_snapshot(reader);
-        }
+  const auto run = [&](std::optional<int> restart_after_minute) {
+    build(cfg);
+    warm(2);
+    std::vector<std::vector<BlameResult>> blames;
+    std::vector<std::uint32_t> diag_culprits;
+    for (int minute = 9 * 60 + 15; minute <= 12 * 60; minute += 15) {
+      const auto report = pipeline_->step(
+          util::MinuteTime::from_days(2).plus_minutes(minute));
+      blames.push_back(report.blames);
+      for (const auto& diag : report.diagnoses) {
+        diag_culprits.push_back(diag.culprit ? diag.culprit->value : 0);
       }
-      return std::pair{blames, diag_culprits};
-    };
+      if (restart_after_minute && minute == *restart_after_minute) {
+        store::SnapshotWriter writer;
+        pipeline_->save_snapshot(writer);
+        auto reader = store::SnapshotReader::from_bytes(writer.serialize(),
+                                                        "<restart>");
+        auto source = [this](util::TimeBucket bucket) {
+          analysis::QuartetBuilder builder{topo_,
+                                           analysis::BadnessThresholds{}};
+          generator_->generate_aggregates(
+              bucket, [&](const analysis::QuartetKey& k, int n, double mean) {
+                builder.add_aggregate(k, n, mean);
+              });
+          return builder.take_bucket(bucket);
+        };
+        pipeline_.reset();  // kill mid-incident
+        pipeline_ = std::make_unique<BlameItPipeline>(topo_, engine_.get(),
+                                                      source, cfg);
+        pipeline_->restore_snapshot(reader);
+      }
+    }
+    return std::pair{blames, diag_culprits};
+  };
 
-    const auto reference = run(std::nullopt);
-    const auto restarted = run(10 * 60 + 30);  // mid-fault
-    EXPECT_FALSE(reference.first.empty());
-    EXPECT_EQ(restarted.first, reference.first) << to_string(backend);
-    EXPECT_EQ(restarted.second, reference.second) << to_string(backend);
-  }
+  const auto reference = run(std::nullopt);
+  const auto restarted = run(10 * 60 + 30);  // mid-fault
+  EXPECT_FALSE(reference.first.empty());
+  EXPECT_EQ(restarted.first, reference.first);
+  EXPECT_EQ(restarted.second, reference.second);
 }
 
 TEST_F(PipelineTest, InvalidConstructionThrows) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -292,17 +294,11 @@ TEST(VerdictStoreTest, ConcurrentReadersNeverBlockOrTear) {
   EXPECT_GT(lookups.load(), 0u);
 }
 
-// --- Columnar backend: identical answers, bounded memory, save/restore. ---
+// --- Store vs a std::map oracle: identical answers, save/restore. ---
 
 /// A publish sequence exercising every row-state transition: inserts,
-/// same-key updates, active upgrades, aging past retention, and incident
-/// open/extend/close — fed identically to both backends.
-void parity_publish(VerdictStore& store) {
-  store.publish(make_report(
-      10, {make_blame(1, 1, 10, core::Blame::Cloud),
-           make_blame(2, 1, 10, core::Blame::Client),
-           make_blame(3, 1, 10, core::Blame::Middle, 7),
-           make_blame(3, 2, 10, core::Blame::Middle, 7)}));
+/// same-key updates, an active upgrade, and aging past retention.
+std::vector<core::StepReport> parity_reports() {
   auto upgraded =
       make_report(11, {make_blame(3, 1, 11, core::Blame::Middle, 7),
                        make_blame(1, 1, 11, core::Blame::Cloud)});
@@ -314,93 +310,137 @@ void parity_publish(VerdictStore& store) {
   diag.culprit = net::AsId{4242};
   diag.confidence = core::DiagnosisConfidence::High;
   upgraded.diagnoses.push_back(diag);
-  store.publish(upgraded);
-  // Quiet steps age out everything but block 2 (bucket-16 rows) later on.
-  store.publish(make_report(16, {make_blame(2, 1, 16, core::Blame::Client),
-                                 make_blame(9, 3, 16, core::Blame::Ambiguous)}));
+  return {
+      make_report(10, {make_blame(1, 1, 10, core::Blame::Cloud),
+                       make_blame(2, 1, 10, core::Blame::Client),
+                       make_blame(3, 1, 10, core::Blame::Middle, 7),
+                       make_blame(3, 2, 10, core::Blame::Middle, 7)}),
+      upgraded,
+      // Quiet steps age out everything but the bucket-16 rows later on.
+      make_report(16, {make_blame(2, 1, 16, core::Blame::Client),
+                       make_blame(9, 3, 16, core::Blame::Ambiguous)}),
+  };
 }
 
-void expect_same_answers(const VerdictStore& a, const VerdictStore& b) {
-  for (std::uint32_t block : {1u, 2u, 3u, 9u, 77u}) {
-    for (std::uint16_t loc : {std::uint16_t{1}, std::uint16_t{2},
-                              std::uint16_t{3}}) {
-      const auto va = a.lookup(net::Slash24{block}, net::CloudLocationId{loc});
-      const auto vb = b.lookup(net::Slash24{block}, net::CloudLocationId{loc});
-      ASSERT_EQ(va.has_value(), vb.has_value())
-          << "block " << block << " loc " << loc;
-      if (!va) continue;
-      EXPECT_EQ(va->blame, vb->blame);
-      EXPECT_EQ(va->confidence, vb->confidence);
-      EXPECT_EQ(va->faulty_as, vb->faulty_as);
-      EXPECT_EQ(va->bucket, vb->bucket);
-      EXPECT_EQ(va->from_active, vb->from_active);
-      EXPECT_EQ(va->mean_rtt_ms, vb->mean_rtt_ms);
+/// Reference for the verdict rows: a std::map keyed ⟨/24, location⟩ that
+/// each publish upserts, then ages — rows with bucket <= newest − retention
+/// drop. Confidence follows the store's documented mapping.
+class MapOracle {
+ public:
+  explicit MapOracle(int retention) : retention_(retention) {}
+
+  void publish(const core::StepReport& report) {
+    for (const core::BlameResult& b : report.blames) {
+      Verdict v{.block = b.quartet.key.block,
+                .location = b.quartet.key.location,
+                .middle = b.quartet.middle,
+                .client_as = b.quartet.client_as,
+                .blame = b.blame,
+                .faulty_as = b.faulty_as,
+                .grade = b.grade,
+                .bucket = b.quartet.key.bucket,
+                .mean_rtt_ms = b.quartet.mean_rtt_ms,
+                .sample_count = b.quartet.sample_count};
+      if (b.blame == core::Blame::Cloud || b.blame == core::Blame::Client) {
+        v.confidence = core::DiagnosisConfidence::High;
+      }
+      for (const core::ActiveDiagnosis& d : report.diagnoses) {
+        if (b.blame == core::Blame::Middle && d.location == v.location &&
+            d.middle == v.middle) {
+          v.confidence = d.confidence;
+          v.from_active = true;
+          v.baseline_predates_issue = d.baseline_predates_issue;
+          if (d.culprit) v.faulty_as = d.culprit;
+          if (d.grade == core::BaselineGrade::ProbedCold) v.grade = d.grade;
+        }
+      }
+      rows_[{v.block, v.location}] = v;
+      newest_ = std::max(newest_, v.bucket.index);
     }
-    const auto la = a.lookup(net::Slash24{block});
-    const auto lb = b.lookup(net::Slash24{block});
-    ASSERT_EQ(la.size(), lb.size()) << "block " << block;
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      EXPECT_EQ(la[i].location.value, lb[i].location.value);
-      EXPECT_EQ(la[i].blame, lb[i].blame);
-    }
+    std::erase_if(rows_, [&](const auto& row) {
+      return row.second.bucket.index <= newest_ - retention_;
+    });
   }
-  const auto ia = a.incidents_since(util::MinuteTime{0});
-  const auto ib = b.incidents_since(util::MinuteTime{0});
-  EXPECT_EQ(ia.size(), ib.size());
-  EXPECT_EQ(a.recent_diagnoses().size(), b.recent_diagnoses().size());
+
+  [[nodiscard]] std::optional<Verdict> lookup(
+      net::Slash24 block, net::CloudLocationId location) const {
+    const auto it = rows_.find({block, location});
+    if (it == rows_.end()) return std::nullopt;
+    return it->second;
+  }
+  /// Every row in ⟨/24, location⟩ order, restricted to `block` when given.
+  [[nodiscard]] std::vector<Verdict> rows(
+      std::optional<net::Slash24> block = std::nullopt) const {
+    std::vector<Verdict> out;
+    for (const auto& [key, v] : rows_) {
+      if (!block || key.first == *block) out.push_back(v);
+    }
+    return out;
+  }
+
+ private:
+  int retention_;
+  std::int64_t newest_ = INT64_MIN;
+  std::map<std::pair<net::Slash24, net::CloudLocationId>, Verdict> rows_;
+};
+
+void expect_matches(const VerdictStore& store, const MapOracle& oracle) {
+  for (std::uint32_t block : {1u, 2u, 3u, 5u, 9u, 77u}) {
+    for (std::uint16_t loc : {1, 2, 3}) {
+      EXPECT_EQ(store.lookup(net::Slash24{block}, net::CloudLocationId{loc}),
+                oracle.lookup(net::Slash24{block}, net::CloudLocationId{loc}))
+          << "block " << block << " loc " << loc;
+    }
+    EXPECT_EQ(store.lookup(net::Slash24{block}),
+              oracle.rows(net::Slash24{block}))
+        << "block " << block;
+  }
+  // 0.0.0.0/16 covers blocks 0-255, every block the reports touch.
+  EXPECT_EQ(store.lookup(*net::Prefix::parse("0.0.0.0/16")), oracle.rows());
 }
 
-TEST(VerdictStoreBackends, ColumnarMatchesHashMapIncludingAging) {
-  VerdictStore hash{{.verdict_retention_buckets = 4,
-                     .backend = store::StateBackend::kHashMap}};
-  VerdictStore columnar{{.verdict_retention_buckets = 4,
-                         .backend = store::StateBackend::kColumnar}};
-  parity_publish(hash);
-  parity_publish(columnar);
-  expect_same_answers(hash, columnar);
-
+TEST(VerdictStoreOracle, MatchesMapOracleIncludingAging) {
+  VerdictStore store{{.verdict_retention_buckets = 4}};
+  MapOracle oracle{4};
+  for (const auto& report : parity_reports()) {
+    store.publish(report);
+    oracle.publish(report);
+    expect_matches(store, oracle);
+  }
   // Aging applied: bucket-10/11 rows are past 16 - 4.
   EXPECT_FALSE(
-      columnar.lookup(net::Slash24{1}, net::CloudLocationId{1}).has_value());
-  EXPECT_TRUE(
-      columnar.lookup(net::Slash24{2}, net::CloudLocationId{1}).has_value());
-  // Both backends account their state; the columnar-undercuts-hash ratio
-  // only materialises at scale (block overheads dominate a handful of
-  // rows), so bench_scale owns that gate — here both must just be honest.
-  EXPECT_GT(columnar.verdict_state_bytes(), 0u);
-  EXPECT_GT(hash.verdict_state_bytes(), 0u);
+      store.lookup(net::Slash24{1}, net::CloudLocationId{1}).has_value());
+  EXPECT_EQ(oracle.rows().size(), 2u);
+  EXPECT_GT(store.verdict_state_bytes(), 0u);
 }
 
-TEST(VerdictStoreBackends, SaveRestoreRoundTripsAndCrossesBackends) {
-  // The snapshot normal form is backend-independent: save from one backend,
-  // restore into either, and every query must answer the same.
-  for (const auto save_backend :
-       {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-    VerdictStore original{{.verdict_retention_buckets = 8,
-                           .backend = save_backend}};
-    parity_publish(original);
-
-    store::SnapshotWriter writer;
-    original.save_state(writer);
-    const auto reader =
-        store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
-
-    for (const auto restore_backend :
-         {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-      VerdictStore restored{{.verdict_retention_buckets = 8,
-                             .backend = restore_backend}};
-      restored.restore_state(reader);
-      expect_same_answers(original, restored);
-      EXPECT_EQ(restored.epoch(), original.epoch());
-      EXPECT_EQ(restored.health().steps, original.health().steps);
-
-      // The restored store continues accepting publishes.
-      restored.publish(
-          make_report(17, {make_blame(5, 1, 17, core::Blame::Cloud)}));
-      EXPECT_TRUE(restored.lookup(net::Slash24{5}, net::CloudLocationId{1})
-                      .has_value());
-    }
+TEST(VerdictStoreOracle, SaveRestoreContinuesLikeOracle) {
+  VerdictStore original{{.verdict_retention_buckets = 8}};
+  MapOracle oracle{8};
+  for (const auto& report : parity_reports()) {
+    original.publish(report);
+    oracle.publish(report);
   }
+
+  store::SnapshotWriter writer;
+  original.save_state(writer);
+  VerdictStore restored{{.verdict_retention_buckets = 8}};
+  restored.restore_state(
+      store::SnapshotReader::from_bytes(writer.serialize(), "<rt>"));
+  expect_matches(restored, oracle);
+  EXPECT_EQ(restored.epoch(), original.epoch());
+  EXPECT_EQ(restored.health().steps, original.health().steps);
+  EXPECT_EQ(restored.incidents_since(util::MinuteTime{0}).size(),
+            original.incidents_since(util::MinuteTime{0}).size());
+  EXPECT_EQ(restored.recent_diagnoses().size(),
+            original.recent_diagnoses().size());
+
+  // The restored store continues accepting publishes, aging included.
+  const auto next =
+      make_report(17, {make_blame(5, 1, 17, core::Blame::Cloud)});
+  restored.publish(next);
+  oracle.publish(next);
+  expect_matches(restored, oracle);
 }
 
 }  // namespace

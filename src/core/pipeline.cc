@@ -35,6 +35,7 @@ BlameItPipeline::BlameItPipeline(const net::Topology* topology,
   // analytics_threads is validated (and the worker pool owned) by passive_;
   // learning stays serial on purpose — reservoir sampling is order-
   // sensitive, and localize() dominates the step cost.
+  source_ms_h_ = obs::histogram(registry, "step.source_ms");
   learn_ms_h_ = obs::histogram(registry, "step.learn_ms");
   localize_ms_h_ = obs::histogram(registry, "step.localize_ms");
   active_ms_h_ = obs::histogram(registry, "step.active_ms");
@@ -295,7 +296,12 @@ StepReport BlameItPipeline::step(util::MinuteTime now) {
     if (churn_aware) {
       apply_churn_events(churn, churn_cursor, bucket.next().start());
     }
-    auto quartets = source_(bucket);
+    std::vector<analysis::Quartet> quartets;
+    {
+      const obs::ScopedTimer source_span{source_ms_h_,
+                                         &report.stages.source_ms};
+      quartets = source_(bucket);
+    }
     {
       const obs::ScopedTimer learn_span{learn_ms_h_,
                                         &report.stages.learn_ms};

@@ -31,6 +31,7 @@ struct StepReport {
   /// every step (a handful of clock reads); mirrored into the registry's
   /// step.*_ms histograms when one is attached.
   struct StageTimings {
+    double source_ms = 0.0;      ///< QuartetSource calls (ingest drain/take)
     double learn_ms = 0.0;       ///< expected-RTT + predictor learning
     double localize_ms = 0.0;    ///< Algorithm 1 across the step's buckets
     double active_ms = 0.0;      ///< ranking + on-demand traceroutes
@@ -179,6 +180,7 @@ class BlameItPipeline {
   StepObserver observer_;
 
   // Instruments (null without a registry).
+  obs::Histogram* source_ms_h_ = nullptr;
   obs::Histogram* learn_ms_h_ = nullptr;
   obs::Histogram* localize_ms_h_ = nullptr;
   obs::Histogram* active_ms_h_ = nullptr;

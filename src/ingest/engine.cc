@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <span>
 #include <stdexcept>
 
 namespace blameit::ingest {
@@ -12,7 +13,7 @@ namespace {
 /// Very distant future: close() uses it to flush every open bucket.
 constexpr util::MinuteTime kEndOfTime{std::int64_t{1} << 40};
 
-/// Records a worker drains from its ring per pop (caps the latency of a
+/// Records a worker takes from its ring per peek (caps the latency of a
 /// pending control message without giving up bulk transfer).
 constexpr std::size_t kWorkerChunk = 1024;
 
@@ -71,7 +72,7 @@ IngestEngine::IngestEngine(const net::Topology* topology,
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(ring_records, kControlSlots));
-    shards_.back()->pending.reserve(config_.batch_records);
+    shards_.back()->producer.pending.reserve(config_.batch_records);
   }
   records_in_c_ = obs::counter(config_.registry, "ingest.records_in");
   late_dropped_c_ = obs::counter(config_.registry, "ingest.late_dropped");
@@ -83,7 +84,7 @@ IngestEngine::IngestEngine(const net::Topology* topology,
   watermark_lag_g_ =
       obs::gauge(config_.registry, "ingest.watermark_lag_minutes");
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->worker = std::thread{[this, i] { worker_loop(i); }};
+    shards_[i]->thread = std::thread{[this, i] { worker_loop(i); }};
   }
 }
 
@@ -98,7 +99,7 @@ void IngestEngine::submit(const analysis::RttRecord& record) {
   }
   const std::size_t shard =
       builder_.shard_of(net::Slash24::of(record.client_ip));
-  auto& pending = shards_[shard]->pending;
+  auto& pending = shards_[shard]->producer.pending;
   pending.push_back(record);
   ++produced_;
   if (pending.size() >= config_.batch_records) push_pending(shard);
@@ -106,15 +107,15 @@ void IngestEngine::submit(const analysis::RttRecord& record) {
 
 void IngestEngine::push_pending(std::size_t shard_index) {
   auto& shard = *shards_[shard_index];
-  if (shard.pending.empty()) return;
-  const auto batch_records = shard.pending.size();
+  auto& pending = shard.producer.pending;
+  if (pending.empty()) return;
+  const auto batch_records = pending.size();
   // Publish the producer counter BEFORE the records become visible, so
   // records_in >= sum(shard delivered) holds in every stats snapshot.
   records_in_.store(produced_, std::memory_order_release);
   obs::add(records_in_c_, batch_records);
-  const auto status =
-      shard.ring.push_all(shard.pending.data(), batch_records);
-  shard.pending.clear();  // keeps its capacity for the next batch
+  const auto status = shard.ring.push_all(pending.data(), batch_records);
+  pending.clear();  // keeps its capacity for the next batch
   if (status == util::RingPush::Closed) {
     // The ring dropped the batch (engine closing underneath the producer):
     // account for every record so nothing is silently lost.
@@ -189,7 +190,7 @@ void IngestEngine::close() {
     push_control(i, Control{.kind = Control::Kind::Stop});
   }
   for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
+    if (shard->thread.joinable()) shard->thread.join();
   }
   // With the workers gone nobody drains the rings: close them so any
   // straggling push drops-and-counts instead of parking forever.
@@ -201,7 +202,6 @@ void IngestEngine::close() {
 
 void IngestEngine::worker_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  std::vector<analysis::RttRecord> buf(kWorkerChunk);
   // The next control message, held back until its barrier is drained.
   Control next_ctl;
   std::uint64_t consumed = 0;
@@ -217,8 +217,11 @@ void IngestEngine::worker_loop(std::size_t shard_index) {
       have_ctl = false;
       if (apply_control(shard, shard_index, next_ctl)) return;
     }
-    const std::size_t n = shard.ring.pop_wait(buf.data(), buf.size());
-    if (n == 0) {
+    // Records are processed where they sit in the ring; their slots go back
+    // to the producer once the whole chunk is done.
+    const std::span<const analysis::RttRecord> chunk =
+        shard.ring.peek_wait(kWorkerChunk);
+    if (chunk.empty()) {
       // Woken by wake() (a control message is waiting — the loop above
       // picks it up) or by close(). Defensive exit for a close() that
       // never delivered Stop (control ring closed underneath us).
@@ -232,6 +235,7 @@ void IngestEngine::worker_loop(std::size_t shard_index) {
     // Process the chunk, splitting at control barriers: a record published
     // after a watermark is never applied before it (late accounting and
     // finalization order match the single-queue semantics exactly).
+    const std::size_t n = chunk.size();
     std::size_t pos = 0;
     while (pos < n) {
       if (!have_ctl && shard.control.try_pop(&next_ctl, 1) == 1) {
@@ -248,10 +252,11 @@ void IngestEngine::worker_loop(std::size_t shard_index) {
         limit = static_cast<std::size_t>(std::min<std::uint64_t>(
             n, pos + (next_ctl.barrier - consumed)));
       }
-      process_records(shard, shard_index, buf.data() + pos, limit - pos);
+      process_records(shard, shard_index, chunk.data() + pos, limit - pos);
       consumed += limit - pos;
       pos = limit;
     }
+    shard.ring.consume(n);
   }
 }
 
@@ -275,7 +280,8 @@ void IngestEngine::process_records(Shard& shard, std::size_t shard_index,
   std::uint64_t late = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto& record = records[i];
-    if (util::TimeBucket::of(record.time).index < shard.finalized_before) {
+    if (util::TimeBucket::of(record.time).index <
+        shard.worker.finalized_before) {
       ++late;  // its bucket was already finalized — count, drop
       continue;
     }
@@ -298,8 +304,8 @@ void IngestEngine::process_records(Shard& shard, std::size_t shard_index,
 
 void IngestEngine::process_watermark(Shard& shard, std::size_t shard_index,
                                      util::MinuteTime watermark) {
-  if (watermark <= shard.watermark) return;
-  shard.watermark = watermark;
+  if (watermark <= shard.worker.watermark) return;
+  shard.worker.watermark = watermark;
   // How far this shard trails the producer's announced watermark (ring
   // delay, in minutes). The close()-time kEndOfTime flush is not a real
   // watermark, so it is excluded.
@@ -348,8 +354,8 @@ void IngestEngine::process_watermark(Shard& shard, std::size_t shard_index,
   // the first still-open bucket is floor(closed_through / kBucketMinutes)
   // — the same predicate ready_buckets() used above.
   if (closed_through.minutes > 0) {
-    shard.finalized_before =
-        std::max(shard.finalized_before,
+    shard.worker.finalized_before =
+        std::max(shard.worker.finalized_before,
                  closed_through.minutes / util::kBucketMinutes);
   }
 }

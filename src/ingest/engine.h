@@ -15,8 +15,13 @@
 //  - The producer→shard handoff is a fixed-capacity SPSC ring of raw
 //    records per pair (util::SpscRing): the producer accumulates
 //    `batch_records` locally, then bulk-publishes the block with one
-//    release store. A full ring spins then parks the producer — that is the
-//    backpressure mechanism, and every park is counted.
+//    release store. The worker aggregates records where they sit in the
+//    ring and hands the slots back after each chunk (no copy out). A full
+//    ring spins then parks the producer — that is the backpressure
+//    mechanism, and every park is counted.
+//  - Producer-written and worker-read per-shard state live in separate
+//    cache-line-aligned types, so the per-record work on either side never
+//    pulls a line the other side writes.
 //  - Watermark / stop / fence are rare control messages on a small side
 //    ring per shard. Each carries the data-ring sequence number published
 //    before it (its *barrier*): the worker applies a control message only
@@ -141,20 +146,28 @@ class IngestEngine {
     std::shared_ptr<SyncPoint> sync;  ///< optional fence
   };
 
+  /// State the producer writes on every record. A cache-line-aligned type,
+  /// so no worker-read field can share its line.
+  struct alignas(64) ProducerSide {
+    /// Partial batch; its capacity is reused across batches (no per-batch
+    /// allocation).
+    std::vector<analysis::RttRecord> pending;
+  };
+
+  /// State the worker reads on every record, on a line of its own.
+  struct alignas(64) WorkerSide {
+    util::MinuteTime watermark{std::int64_t{-1} << 40};
+    std::int64_t finalized_before = std::int64_t{-1} << 40;  // bucket index
+  };
+
   struct Shard {
     Shard(std::size_t ring_records, std::size_t control_slots)
         : ring(ring_records), control(control_slots) {}
 
     util::SpscRing<analysis::RttRecord> ring;  ///< data hot path
     util::SpscRing<Control> control;           ///< watermark/stop/fence
-    std::thread worker;
-    /// Producer-side partial batch (owned by the producer thread; its
-    /// capacity is reused across batches — no per-batch allocation).
-    std::vector<analysis::RttRecord> pending;
-
-    // Worker-owned state.
-    util::MinuteTime watermark{std::int64_t{-1} << 40};
-    std::int64_t finalized_before = std::int64_t{-1} << 40;  // bucket index
+    ProducerSide producer;
+    WorkerSide worker;
 
     // Finalized output, shared worker/reader.
     mutable std::mutex out_mutex;
@@ -164,6 +177,8 @@ class IngestEngine {
     // whole by stats().
     mutable std::mutex stats_mutex;
     ShardStats slice;
+
+    std::thread thread;  ///< the worker; declared after all it uses
   };
 
   void worker_loop(std::size_t shard_index);

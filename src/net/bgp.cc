@@ -1,6 +1,7 @@
 #include "net/bgp.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace blameit::net {
@@ -99,7 +100,17 @@ void RoutingState::announce(CloudLocationId location, const Prefix& prefix,
     throw std::invalid_argument{"RoutingState: prefix already announced"};
   }
   timeline.set_route(util::MinuteTime{0}, entry);
-  prefixes_[location].push_back(prefix);
+  auto& table = prefixes_[location];
+  table.prefixes.push_back(prefix);
+  // Only lengths <= 24 can cover a whole /24 (see Prefix::contains).
+  if (prefix.length <= 24) {
+    const auto pos = std::lower_bound(table.lengths.begin(),
+                                      table.lengths.end(), prefix.length,
+                                      std::greater<>{});
+    if (pos == table.lengths.end() || *pos != prefix.length) {
+      table.lengths.insert(pos, prefix.length);
+    }
+  }
   churn_log_.push_back(ChurnEvent{.time = util::MinuteTime{0},
                                   .location = location,
                                   .prefix = prefix,
@@ -148,24 +159,18 @@ void RoutingState::note_steer_shift(CloudLocationId location,
 const RouteEntry* RoutingState::route_for(CloudLocationId location,
                                           Slash24 client,
                                           util::MinuteTime when) const {
-  // Longest-prefix match over the location's announced prefixes. Tables here
-  // are small; linear scan keeps the structure simple. (Telemetry generation
-  // caches routes per /24, so this is not on the hot path.)
+  // Longest-prefix match: the /24's covering prefix of each announced
+  // length, longest first. One with no route yet at `when` falls through
+  // to the next shorter length.
   const auto pit = prefixes_.find(location);
   if (pit == prefixes_.end()) return nullptr;
-  const RouteEntry* best = nullptr;
-  std::uint8_t best_len = 0;
-  for (const auto& prefix : pit->second) {
-    if (!prefix.contains(client)) continue;
-    if (best && prefix.length < best_len) continue;
-    const auto tit = timelines_.find(key_of(location, prefix));
+  for (const std::uint8_t length : pit->second.lengths) {
+    const auto tit =
+        timelines_.find(key_of(location, Prefix::of(client.base(), length)));
     if (tit == timelines_.end()) continue;
-    if (const RouteEntry* route = tit->second.route_at(when)) {
-      best = route;
-      best_len = prefix.length;
-    }
+    if (const RouteEntry* route = tit->second.route_at(when)) return route;
   }
-  return best;
+  return nullptr;
 }
 
 const RouteTimeline* RoutingState::timeline(CloudLocationId location,
@@ -190,7 +195,7 @@ const std::vector<Prefix>& RoutingState::prefixes_at(
     CloudLocationId location) const {
   static const std::vector<Prefix> kEmpty;
   const auto it = prefixes_.find(location);
-  return it == prefixes_.end() ? kEmpty : it->second;
+  return it == prefixes_.end() ? kEmpty : it->second.prefixes;
 }
 
 }  // namespace blameit::net

@@ -124,14 +124,15 @@ class RoutingState {
   void note_steer_shift(CloudLocationId location, const Prefix& prefix,
                         util::MinuteTime when);
 
-  /// Route for a client /24 from a location at a time; nullopt when no
-  /// covering prefix is announced.
+  /// Route for a client /24 from a location at a time: that of the longest
+  /// covering announced prefix with a route at `when`; null when none.
+  /// Costs one timeline lookup per distinct announced length.
   [[nodiscard]] const RouteEntry* route_for(CloudLocationId location,
                                             Slash24 client,
                                             util::MinuteTime when) const;
 
   /// Direct handle to the (location, prefix) timeline for hot-path callers
-  /// that already know the announced prefix (avoids the longest-prefix scan).
+  /// that already know the announced prefix (skips the longest-prefix match).
   /// Stable for the lifetime of the RoutingState. Null when unannounced.
   [[nodiscard]] const RouteTimeline* timeline(CloudLocationId location,
                                               const Prefix& prefix) const;
@@ -172,9 +173,15 @@ class RoutingState {
   [[nodiscard]] RouteEntry make_entry(const Prefix& prefix,
                                       AsPath full_path) const;
 
+  /// One location's announcements, plus route_for's index over them.
+  struct LocationPrefixes {
+    std::vector<Prefix> prefixes;       ///< announcement order
+    std::vector<std::uint8_t> lengths;  ///< distinct, <= 24, longest first
+  };
+
   MiddleSegmentInterner* interner_;
   std::unordered_map<LocPrefixKey, RouteTimeline, LocPrefixHash> timelines_;
-  std::unordered_map<CloudLocationId, std::vector<Prefix>> prefixes_;
+  std::unordered_map<CloudLocationId, LocationPrefixes> prefixes_;
   std::vector<ChurnEvent> churn_log_;
 };
 

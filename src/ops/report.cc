@@ -24,11 +24,16 @@ std::string render_step(const core::StepReport& report,
   if (report.degraded_passive_only) {
     oss << " | DEGRADED: engine outage, passive-only";
   }
-  oss << " | stages(ms): learn=" << util::fmt(report.stages.learn_ms, 2)
-      << " localize=" << util::fmt(report.stages.localize_ms, 2)
-      << " active=" << util::fmt(report.stages.active_ms, 2)
-      << " background=" << util::fmt(report.stages.background_ms, 2)
-      << " total=" << util::fmt(report.stages.total_ms, 2);
+  const auto& st = report.stages;
+  const double residual = st.total_ms - st.source_ms - st.learn_ms -
+                          st.localize_ms - st.active_ms - st.background_ms;
+  oss << " | stages(ms): source=" << util::fmt(st.source_ms, 2)
+      << " learn=" << util::fmt(st.learn_ms, 2)
+      << " localize=" << util::fmt(st.localize_ms, 2)
+      << " active=" << util::fmt(st.active_ms, 2)
+      << " background=" << util::fmt(st.background_ms, 2)
+      << " residual=" << util::fmt(residual, 2)
+      << " total=" << util::fmt(st.total_ms, 2);
   if (!report.ranked_issues.empty()) {
     const auto& top = report.ranked_issues.front();
     oss << " | top issue: " << topology.location(top.location).name << " via "

@@ -12,6 +12,10 @@
 //    (consumer) after the slots are written/consumed; the other side pairs
 //    it with an acquire load. Bulk push/pop moves a whole span per index
 //    store, which is what makes batched record blocks cheap.
+//  - The consumer reads in place: peek() returns the oldest published items
+//    as one contiguous span that stops at the wrap point, and consume(n)
+//    hands those slots back to the producer. try_pop/pop_wait are copies
+//    out of peeked spans, so there is one head-advance and notify path.
 //
 // Backpressure is spin-then-park: a full push (or empty blocking pop) spins
 // with a pause ladder, then parks on a mutex/condvar. The park wait is
@@ -24,16 +28,20 @@
 // admission (push_all drops the remainder and counts it), wakes both sides,
 // and lets the consumer keep draining what was already published. wake() is
 // a spurious consumer wakeup used by side channels ("a control message is
-// waiting"): pop_wait returns 0 so the caller can poll its other sources.
+// waiting"): peek_wait returns an empty span (pop_wait 0) so the caller can
+// poll its other sources.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -129,36 +137,35 @@ class SpscRing {
 
   // ---- consumer side (one thread) ----
 
-  /// Moves up to `max` items into out[]; returns how many (0 = empty).
-  std::size_t try_pop(T* out, std::size_t max) {
+  /// The oldest published items, in place: at most `max` of them, as one
+  /// contiguous span that stops at the wrap point (the next peek returns
+  /// the rest). Empty when nothing is published. The slots stay the
+  /// consumer's until consume() hands them back to the producer.
+  std::span<T> peek(
+      std::size_t max = std::numeric_limits<std::size_t>::max()) noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     std::size_t avail = static_cast<std::size_t>(tail_cache_ - head);
     if (avail == 0) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       avail = static_cast<std::size_t>(tail_cache_ - head);
-      if (avail == 0) return 0;
     }
-    const std::size_t count = max < avail ? max : avail;
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = std::move(slots_[static_cast<std::size_t>(head + i) & mask_]);
-    }
-    head_.store(head + count, std::memory_order_release);
-    if (producer_parked_.load(std::memory_order_relaxed)) notify();
-    return count;
+    const std::size_t start = static_cast<std::size_t>(head) & mask_;
+    return {slots_.get() + start, std::min({max, avail, capacity() - start})};
   }
 
   /// Blocks (spin, then park) until items arrive, wake() is rung, or the
-  /// ring is closed and drained. Returns the number popped; 0 means "no
-  /// data" — check closed() / your side channel and call again.
-  std::size_t pop_wait(T* out, std::size_t max) {
+  /// ring is closed and drained, then peeks. An empty span means "no data"
+  /// — check closed() / your side channel and call again.
+  std::span<T> peek_wait(
+      std::size_t max = std::numeric_limits<std::size_t>::max()) {
     std::size_t spins = 0;
     for (;;) {
-      const std::size_t n = try_pop(out, max);
-      if (n > 0) return n;
-      if (wake_pending_.exchange(false, std::memory_order_acq_rel)) return 0;
+      const std::span<T> items = peek(max);
+      if (!items.empty()) return items;
+      if (wake_pending_.exchange(false, std::memory_order_acq_rel)) return {};
       if (closed_.load(std::memory_order_acquire)) {
         // Closed: one more drain attempt covers a push that raced close.
-        return try_pop(out, max);
+        return peek(max);
       }
       if (++spins <= spin_limit_) {
         detail::cpu_relax();
@@ -169,17 +176,44 @@ class SpscRing {
     }
   }
 
+  /// Releases the first `n` peeked items (n <= the span's size) to the
+  /// producer; their slots may be overwritten from then on.
+  void consume(std::size_t n) {
+    head_.store(head_.load(std::memory_order_relaxed) + n,
+                std::memory_order_release);
+    if (producer_parked_.load(std::memory_order_relaxed)) notify();
+  }
+
+  /// Moves up to `max` items into out[], across the wrap point; returns
+  /// how many (0 = empty).
+  std::size_t try_pop(T* out, std::size_t max) {
+    std::size_t n = 0;
+    while (n < max) {
+      const std::span<T> items = peek(max - n);
+      if (items.empty()) break;
+      std::move(items.begin(), items.end(), out + n);
+      consume(items.size());
+      n += items.size();
+    }
+    return n;
+  }
+
+  /// Blocking try_pop, with peek_wait's wakeup rules; 0 means "no data".
+  std::size_t pop_wait(T* out, std::size_t max) {
+    return peek_wait(max).empty() ? 0 : try_pop(out, max);
+  }
+
   // ---- either side ----
 
-  /// Spurious consumer wakeup: the next (or current) pop_wait returns 0
-  /// once, so the caller can service a side channel.
+  /// Spurious consumer wakeup: the next (or current) peek_wait returns an
+  /// empty span once, so the caller can service a side channel.
   void wake() {
     wake_pending_.store(true, std::memory_order_release);
     if (consumer_parked_.load(std::memory_order_relaxed)) notify();
   }
 
-  /// Stops admission and wakes both sides; already-published items remain
-  /// poppable. Idempotent.
+  /// Stops admission and wakes both sides; already-published items (and a
+  /// span the consumer holds) remain readable. Idempotent.
   void close() {
     closed_.store(true, std::memory_order_release);
     notify();

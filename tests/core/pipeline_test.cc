@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,6 +42,7 @@ class PipelineTest : public ::testing::Test {
     model_ = std::make_unique<sim::RttModel>(topo_, &faults_);
     engine_ = std::make_unique<sim::TracerouteEngine>(topo_, model_.get());
     auto source = [this](util::TimeBucket bucket) {
+      std::this_thread::sleep_for(source_delay_);
       analysis::QuartetBuilder builder{topo_, analysis::BadnessThresholds{}};
       generator_->generate_aggregates(
           bucket, [&](const analysis::QuartetKey& k, int n, double mean) {
@@ -69,6 +72,8 @@ class PipelineTest : public ::testing::Test {
   }
 
   static net::Topology* topo_;
+  /// Added to every quartet-source call (stage-timing tests).
+  std::chrono::milliseconds source_delay_{0};
   sim::FaultInjector faults_;
   std::unique_ptr<sim::TelemetryGenerator> generator_;
   std::unique_ptr<sim::RttModel> model_;
@@ -288,15 +293,17 @@ TEST_F(PipelineTest, RegistryObservesEveryStage) {
   EXPECT_GT(report.stages.localize_ms, 0.0);
   // total covers the whole call, so it bounds the sum of the inner stages.
   EXPECT_GE(report.stages.total_ms,
-            report.stages.learn_ms + report.stages.localize_ms +
-                report.stages.active_ms + report.stages.background_ms);
+            report.stages.source_ms + report.stages.learn_ms +
+                report.stages.localize_ms + report.stages.active_ms +
+                report.stages.background_ms);
 
   const auto snap = registry.snapshot();
   // The active span only runs when the step surfaced blames, so it may be
   // empty on a healthy day; the others record on every step.
   EXPECT_NE(snap.histogram("step.active_ms"), nullptr);
-  for (const auto* name : {"step.learn_ms", "step.localize_ms",
-                           "step.background_ms", "step.total_ms"}) {
+  for (const auto* name : {"step.source_ms", "step.learn_ms",
+                           "step.localize_ms", "step.background_ms",
+                           "step.total_ms"}) {
     const auto* hist = snap.histogram(name);
     ASSERT_NE(hist, nullptr) << name;
     EXPECT_GT(hist->count, 0u) << name;
@@ -311,6 +318,30 @@ TEST_F(PipelineTest, RegistryObservesEveryStage) {
             0u);
   EXPECT_EQ(snap.counter_value("background.probes").value_or(0),
             static_cast<std::uint64_t>(report.background_probes));
+}
+
+// The quartet source (in production, the ingest drain) is a stage of its
+// own: a source that sleeps 2 ms per bucket shows up in source_ms and the
+// step.source_ms histogram, and the five stages never sum past the total.
+TEST_F(PipelineTest, SourceTimeIsAttributedToItsOwnStage) {
+  obs::Registry registry;
+  build(shortened_config(), &registry);
+  source_delay_ = std::chrono::milliseconds{2};
+  const auto start = util::MinuteTime::from_days(2);
+  // Start the step cursor at `start`, so the step covers three buckets.
+  pipeline_->warmup_bucket(util::TimeBucket::of(start).prev());
+  const auto report = pipeline_->step(start.plus_minutes(15));
+
+  ASSERT_EQ(report.buckets_processed, 3);
+  const auto& st = report.stages;
+  EXPECT_GE(st.source_ms, 2.0 * report.buckets_processed);
+  EXPECT_LE(st.source_ms + st.learn_ms + st.localize_ms + st.active_ms +
+                st.background_ms,
+            st.total_ms);
+  const auto snap = registry.snapshot();
+  const auto* hist = snap.histogram("step.source_ms");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count, 3u);  // one span per bucket
 }
 
 TEST_F(PipelineTest, SnapshotRestoreContinuesBitIdentically) {

@@ -136,6 +136,19 @@ TEST_F(OpsTest, RenderStepMentionsBlamesAndProbes) {
   EXPECT_NE(text.find("top issue"), std::string::npos);
 }
 
+TEST_F(OpsTest, RenderStepShowsSourceAndResidual) {
+  core::StepReport report;
+  report.stages.source_ms = 1.5;
+  report.stages.learn_ms = 0.25;
+  report.stages.localize_ms = 0.5;
+  report.stages.background_ms = 0.25;
+  report.stages.total_ms = 3.0;
+  const auto text = render_step(report, *topo_);
+  EXPECT_NE(text.find("source=1.50"), std::string::npos) << text;
+  EXPECT_NE(text.find("residual=0.50"), std::string::npos) << text;
+  EXPECT_NE(text.find("total=3.00"), std::string::npos) << text;
+}
+
 TEST_F(OpsTest, RenderTicketContainsRoutingInfo) {
   AlertSink sink;
   const auto tickets = sink.digest(report_with_middle_issue(500.0));

@@ -205,10 +205,9 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
   }
   std::map<std::uint64_t, TransferEntry> transfers;
   if (format >= 2) {
-    const std::uint64_t n = in.varint();
-    if (n > (std::uint64_t{1} << 40)) in.fail("transfer count absurd");
+    const std::size_t n = in.count("transfer count");
     std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       prev += in.varint();
       TransferEntry entry;
       const std::int64_t day64 = in.svarint();

@@ -67,11 +67,10 @@ void BaselineStore::save(std::string& out) const {
 
 void BaselineStore::restore(store::ByteReader& in) {
   std::unordered_map<std::uint64_t, std::vector<Baseline>> baselines;
-  const std::uint64_t n_keys = in.varint();
-  if (n_keys > (std::uint64_t{1} << 40)) in.fail("baseline key count absurd");
-  baselines.reserve(static_cast<std::size_t>(n_keys));
+  const std::size_t n_keys = in.count("baseline key count");
+  baselines.reserve(n_keys);
   std::uint64_t prev = 0;
-  for (std::uint64_t k = 0; k < n_keys; ++k) {
+  for (std::size_t k = 0; k < n_keys; ++k) {
     prev += in.varint();
     const std::uint64_t n = in.varint();
     if (n > kHistory) in.fail("baseline history exceeds retention");
@@ -81,12 +80,9 @@ void BaselineStore::restore(store::ByteReader& in) {
       Baseline baseline;
       baseline.when.minutes = in.svarint();
       baseline.cloud_ms = in.f64();
-      const std::uint64_t n_contrib = in.varint();
-      if (n_contrib > (std::uint64_t{1} << 20)) {
-        in.fail("contribution count absurd");
-      }
-      baseline.contributions.reserve(static_cast<std::size_t>(n_contrib));
-      for (std::uint64_t c = 0; c < n_contrib; ++c) {
+      const std::size_t n_contrib = in.count("contribution count");
+      baseline.contributions.reserve(n_contrib);
+      for (std::size_t c = 0; c < n_contrib; ++c) {
         const net::AsId as{static_cast<std::uint32_t>(in.varint())};
         const double ms = in.f64();
         baseline.contributions.emplace_back(as, ms);

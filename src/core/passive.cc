@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace blameit::core {
 
@@ -40,6 +39,9 @@ struct Comparison {
   bool churned = false;
 };
 
+/// Group keys pack the location and device with the path (middle groups
+/// set bit 62), so bit 63 is always clear and no key equals
+/// FlatMap::kEmpty.
 std::uint64_t cloud_group(const analysis::Quartet& q) noexcept {
   return (std::uint64_t{q.key.location.value} << 8) |
          static_cast<std::uint64_t>(q.key.device);
@@ -52,16 +54,123 @@ std::uint64_t middle_group(const analysis::Quartet& q) noexcept {
          static_cast<std::uint64_t>(q.key.device);
 }
 
+/// Linear-probing hash map with each value stored in its slot, grown at
+/// half load. The all-ones key marks a free slot: no group key (bit 63 is
+/// always clear) and no /24 (24 bits) takes that value. Tables live for one
+/// localize() call, so pass 1 allocates per call, not per quartet or /24.
+template <typename Key, typename Value>
+class FlatMap {
+ public:
+  static constexpr Key kEmpty = ~Key{0};
+
+  /// Room for `n` keys before the first growth.
+  explicit FlatMap(std::size_t n = 8) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * n) capacity *= 2;
+    slots_.assign(capacity, Slot{kEmpty, Value{}});
+  }
+
+  /// The key's value, and whether the key was just inserted (its value is
+  /// then value-initialized). The reference lasts until the next insert.
+  std::pair<Value&, bool> try_emplace(Key key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    Slot& slot = slots_[slot_of(key)];
+    const bool fresh = slot.key == kEmpty;
+    if (fresh) {
+      slot.key = key;
+      ++size_;
+    }
+    return {slot.value, fresh};
+  }
+
+  /// The key's value, or null if it was never inserted.
+  [[nodiscard]] const Value* find(Key key) const noexcept {
+    const Slot& slot = slots_[slot_of(key)];
+    return slot.key == key ? &slot.value : nullptr;
+  }
+
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const Slot& slot : slots_) {
+      if (slot.key != kEmpty) f(slot.key, slot.value);
+    }
+  }
+
+ private:
+  struct Slot {
+    Key key;
+    Value value;
+  };
+
+  /// The key's slot, or the free slot it would take.
+  [[nodiscard]] std::size_t slot_of(Key key) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = util::mix64(key) & mask;
+    while (slots_[i].key != key && slots_[i].key != kEmpty) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    const std::vector<Slot> old = std::exchange(
+        slots_, std::vector<Slot>(2 * slots_.size(), Slot{kEmpty, Value{}}));
+    for (const Slot& slot : old) {
+      if (slot.key != kEmpty) slots_[slot_of(slot.key)] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+/// The ambiguity rule's view of one /24: where it first saw a good quartet,
+/// and whether it saw one at any other location too. That is exactly what
+/// the rule asks of the set of good locations it summarizes: the /24 was
+/// good somewhere other than q's location iff `multi || location != q's`.
+struct GoodBlock {
+  std::uint16_t location = 0;
+  bool multi = false;
+
+  /// Set union, in summary form: commutative and associative, so the
+  /// cross-shard merge gives the same answer in any order.
+  void add(const GoodBlock& other) noexcept {
+    multi = multi || other.multi || other.location != location;
+  }
+  [[nodiscard]] bool good_other_than(std::uint16_t loc) const noexcept {
+    return multi || location != loc;
+  }
+};
+
 /// Pass-1 accumulator for one location shard. Group keys embed the location,
 /// so no group (and no learner key) is ever shared between shards; only the
-/// per-/24 good-location sets need a cross-shard merge.
+/// per-/24 good-location summaries need a cross-shard merge.
 struct ShardState {
-  std::unordered_map<std::uint64_t, GroupStats> groups;
-  /// block -> locations where it saw a *good* (below threshold) quartet.
-  std::unordered_map<std::uint32_t, std::unordered_set<std::uint16_t>>
-      good_locations;
-  /// Comparison RTTs per group so the learner is consulted once per group.
-  std::unordered_map<std::uint64_t, Comparison> comparison_cache;
+  FlatMap<std::uint64_t, std::uint32_t> group_ids;  ///< group key -> id
+  std::vector<GroupStats> groups;                   ///< by group id
+  /// Comparison RTTs by group id: the learner is consulted once per group.
+  std::vector<Comparison> comparisons;
+  FlatMap<std::uint32_t, GoodBlock> good_blocks;    ///< /24 -> summary
+
+  /// The group's dense id. A new group gets the next id and its comparison
+  /// RTT from `compare()`.
+  template <typename Compare>
+  std::uint32_t intern(std::uint64_t group, const Compare& compare) {
+    auto [id, fresh] = group_ids.try_emplace(group);
+    if (fresh) {
+      id = static_cast<std::uint32_t>(groups.size());
+      groups.emplace_back();
+      comparisons.push_back(compare());
+    }
+    return id;
+  }
+
+  void add_good(std::uint32_t block, const GoodBlock& good) {
+    auto [summary, fresh] = good_blocks.try_emplace(block);
+    if (fresh) {
+      summary = good;
+    } else {
+      summary.add(good);
+    }
+  }
 };
 
 }  // namespace
@@ -132,47 +241,56 @@ std::vector<BlameResult> PassiveLocalizer::localize(
   }
 
   // Pass 1: per-shard group statistics against the learned expected RTTs,
-  // plus the per-/24 "good somewhere else" sets for the ambiguity rule.
+  // plus the per-/24 good-location summaries for the ambiguity rule. Each
+  // quartet's two group ids go into arrays pass 2 indexes directly; every
+  // index is written by the one shard that owns the quartet's location.
   std::vector<ShardState> shards(nshards);
+  std::vector<std::uint32_t> cloud_ids(n);
+  std::vector<std::uint32_t> middle_ids(n);
+  // A group's comparison RTT, fetched from the learner once per group: when
+  // pass 1 first interns it.
+  const auto compare = [&](analysis::ExpectedRttKey key,
+                           const analysis::Quartet& q) {
+    Comparison cmp;
+    if (config_.churn_baseline_transfer) {
+      const auto graded = learner_->expected_with_provenance(key, day);
+      if (graded.value) {
+        cmp.value = *graded.value;
+        cmp.transferred = graded.provenance ==
+                          analysis::BaselineProvenance::kTransferred;
+      } else {
+        cmp.value = thresholds_.threshold(q.region, q.key.device);
+      }
+      cmp.churned = learner_->recently_churned(key, day);
+    } else {
+      const auto learned = learner_->expected(key, day);
+      cmp.value = learned ? *learned
+                          : thresholds_.threshold(q.region, q.key.device);
+    }
+    return cmp;
+  };
   const auto pass1 = [&](int s) {
     auto& shard = shards[static_cast<std::size_t>(s)];
-    for (const auto idx : members[static_cast<std::size_t>(s)]) {
+    const auto& mine = members[static_cast<std::size_t>(s)];
+    // Sized for every quartet being a good one on its own /24, so the
+    // per-/24 table never grows inside pass 1.
+    shard.good_blocks = FlatMap<std::uint32_t, GoodBlock>{mine.size()};
+    for (const auto idx : mine) {
       const auto& q = quartets[idx];
-      const auto ck = cloud_group(q);
-      const auto mk = middle_group(q);
-
-      const auto lookup = [&](std::uint64_t group,
-                              analysis::ExpectedRttKey key) {
-        const auto it = shard.comparison_cache.find(group);
-        if (it != shard.comparison_cache.end()) return it->second;
-        Comparison cmp;
-        if (config_.churn_baseline_transfer) {
-          const auto graded = learner_->expected_with_provenance(key, day);
-          if (graded.value) {
-            cmp.value = *graded.value;
-            cmp.transferred = graded.provenance ==
-                              analysis::BaselineProvenance::kTransferred;
-          } else {
-            cmp.value = thresholds_.threshold(q.region, q.key.device);
-          }
-          cmp.churned = learner_->recently_churned(key, day);
-        } else {
-          const auto learned = learner_->expected(key, day);
-          cmp.value = learned ? *learned
-                              : thresholds_.threshold(q.region, q.key.device);
-        }
-        shard.comparison_cache.emplace(group, cmp);
-        return cmp;
-      };
-      const auto cloud_cmp =
-          lookup(ck, analysis::cloud_key(q.key.location, q.key.device));
-      const auto middle_cmp = lookup(
-          mk, analysis::middle_key(q.key.location, q.middle, q.key.device));
+      const auto cid = shard.intern(cloud_group(q), [&] {
+        return compare(analysis::cloud_key(q.key.location, q.key.device), q);
+      });
+      const auto mid = shard.intern(middle_group(q), [&] {
+        return compare(
+            analysis::middle_key(q.key.location, q.middle, q.key.device), q);
+      });
+      cloud_ids[idx] = cid;
+      middle_ids[idx] = mid;
 
       // §4.2 subtlety: fractions count quartets, NOT RTT samples — a handful
       // of high-volume "good" /24s must not mask widespread badness.
-      const bool cloud_bad = q.mean_rtt_ms > cloud_cmp.value;
-      auto& cg = shard.groups[ck];
+      const bool cloud_bad = q.mean_rtt_ms > shard.comparisons[cid].value;
+      auto& cg = shard.groups[cid];
       ++cg.quartets;
       cg.bad_vs_expected += cloud_bad;
       if (shield_on && !shielded(q)) {
@@ -180,13 +298,11 @@ std::vector<BlameResult> PassiveLocalizer::localize(
         cg.unshielded_bad += cloud_bad;
       }
 
-      auto& mg = shard.groups[mk];
+      auto& mg = shard.groups[mid];
       ++mg.quartets;
-      mg.bad_vs_expected += q.mean_rtt_ms > middle_cmp.value;
+      mg.bad_vs_expected += q.mean_rtt_ms > shard.comparisons[mid].value;
 
-      if (!q.bad) {
-        shard.good_locations[q.key.block.block].insert(q.key.location.value);
-      }
+      if (!q.bad) shard.add_good(q.key.block.block, {q.key.location.value});
     }
   };
   if (pool_) {
@@ -206,15 +322,17 @@ std::vector<BlameResult> PassiveLocalizer::localize(
                      static_cast<double>(n));
   }
 
-  // Barrier: merge the per-/24 good-location sets into shard 0's map. A
+  // Barrier: merge the per-/24 good-location summaries into shard 0's. A
   // dual-homed /24 can be good at a location owned by another shard, and the
-  // ambiguity rule needs the global view. Set union in fixed shard order —
-  // order-independent, hence deterministic for any shard count.
-  auto& good_locations = shards[0].good_locations;
+  // ambiguity rule needs the global view. GoodBlock::add is a set union in
+  // summary form — order-independent, hence deterministic for any shard
+  // count.
+  auto& merged = shards[0];
   for (std::size_t s = 1; s < nshards; ++s) {
-    for (auto& [block, locs] : shards[s].good_locations) {
-      good_locations[block].insert(locs.begin(), locs.end());
-    }
+    const auto& shard = shards[s];
+    shard.good_blocks.for_each([&](std::uint32_t block, const GoodBlock& good) {
+      merged.add_good(block, good);
+    });
   }
 
   // Pass 2: hierarchical blame per bad quartet, over contiguous input chunks
@@ -243,9 +361,8 @@ std::vector<BlameResult> PassiveLocalizer::localize(
         // seed's abstain behavior). Soft-bad quartets are blamed Middle
         // directly and never touch the cloud or client branches.
         if (!config_.churn_baseline_transfer) continue;
-        const auto mk = middle_group(q);
-        const auto& soft_mg = shard.groups.at(mk);
-        const auto& cmp = shard.comparison_cache.at(mk);
+        const auto& soft_mg = shard.groups[middle_ids[i]];
+        const auto& cmp = shard.comparisons[middle_ids[i]];
         if (!cmp.churned) continue;
         if (soft_mg.quartets <= config_.min_group_quartets) continue;
         if (soft_mg.bad_fraction() < config_.tau) continue;
@@ -261,8 +378,8 @@ std::vector<BlameResult> PassiveLocalizer::localize(
       BlameResult result;
       result.quartet = q;
 
-      const auto& cg = shard.groups.at(cloud_group(q));
-      const auto& mg = shard.groups.at(middle_group(q));
+      const auto& cg = shard.groups[cloud_ids[i]];
+      const auto& mg = shard.groups[middle_ids[i]];
 
       // With a steer shield active, the cloud check runs on the group's
       // UN-shielded evidence: a destination-edge shift that is only visible
@@ -283,16 +400,12 @@ std::vector<BlameResult> PassiveLocalizer::localize(
         result.blame = Blame::Insufficient;
       } else if (mg.bad_fraction() >= config_.tau) {
         result.blame = Blame::Middle;  // active phase refines to an AS
-        result.grade = shard.comparison_cache.at(middle_group(q)).transferred
+        result.grade = shard.comparisons[middle_ids[i]].transferred
                            ? BaselineGrade::Transferred
                            : BaselineGrade::Fresh;
       } else {
-        const auto it = good_locations.find(q.key.block.block);
-        const bool good_elsewhere =
-            it != good_locations.end() &&
-            (it->second.size() > 1 ||
-             !it->second.contains(q.key.location.value));
-        if (good_elsewhere) {
+        const auto* good = merged.good_blocks.find(q.key.block.block);
+        if (good && good->good_other_than(q.key.location.value)) {
           result.blame = Blame::Ambiguous;
         } else {
           result.blame = Blame::Client;

@@ -9,18 +9,22 @@
 //
 // Parallel design (config.analytics_threads > 1): quartets are partitioned
 // by cloud location across a util::ThreadPool.
-//   Pass 1 — each shard builds GroupStats for its locations' cloud/middle
-//     groups plus the per-/24 good-location sets. Every learner key embeds
-//     the location, so shards never touch the same group; the per-/24 sets
-//     DO cross shards (dual-homed blocks) and are merged in shard order
-//     after the barrier — a set union, order-independent.
+//   Pass 1 — each shard interns its locations' cloud/middle groups into
+//     dense ids (one flat open-addressing table; stats and comparison RTTs
+//     live in vectors indexed by id) and records each quartet's two ids for
+//     pass 2. It also summarizes, per /24, where good quartets were seen:
+//     the first location plus a "seen at another location too" bit. Every
+//     learner key embeds the location, so shards never touch the same
+//     group; the per-/24 summaries DO cross shards (dual-homed blocks) and
+//     are merged after the barrier — a set union in summary form,
+//     order-independent.
 //   Pass 2 — contiguous input chunks are blamed in parallel against the
 //     read-only merged state and concatenated in chunk order, so results
 //     come out in input order.
 // Every per-quartet decision is a pure function of ⟨group stats, merged
-// good-location sets, learner medians⟩, none of which depend on execution
-// order, so N-thread output is bit-identical to the serial path (asserted
-// in tests).
+// good-location summaries, learner medians⟩, none of which depend on
+// execution order, so N-thread output is bit-identical to the serial path
+// (asserted in tests, along with equality to a map-and-set oracle).
 #pragma once
 
 #include <memory>

@@ -177,11 +177,10 @@ void BlameItPipeline::restore_snapshot(const store::SnapshotReader& reader) {
       in.fail("eviction day out of range");
     }
     std::unordered_map<std::uint64_t, OpenRun> open_runs;
-    const std::uint64_t n_runs = in.varint();
-    if (n_runs > (std::uint64_t{1} << 32)) in.fail("open-run count absurd");
-    open_runs.reserve(static_cast<std::size_t>(n_runs));
+    const std::size_t n_runs = in.count("open-run count");
+    open_runs.reserve(n_runs);
     std::uint64_t prev = 0;
-    for (std::uint64_t r = 0; r < n_runs; ++r) {
+    for (std::size_t r = 0; r < n_runs; ++r) {
       prev += in.varint();
       OpenRun run;
       run.last = util::TimeBucket{in.svarint()};
@@ -192,12 +191,9 @@ void BlameItPipeline::restore_snapshot(const store::SnapshotReader& reader) {
     }
     std::vector<ShieldEntry> shields;
     if (format >= 2) {
-      const std::uint64_t n_shields = in.varint();
-      if (n_shields > (std::uint64_t{1} << 32)) {
-        in.fail("shield entry count absurd");
-      }
-      shields.reserve(static_cast<std::size_t>(n_shields));
-      for (std::uint64_t s = 0; s < n_shields; ++s) {
+      const std::size_t n_shields = in.count("shield entry count");
+      shields.reserve(n_shields);
+      for (std::size_t s = 0; s < n_shields; ++s) {
         ShieldEntry entry;
         entry.location.value = static_cast<std::uint16_t>(in.varint());
         entry.prefix.network = static_cast<std::uint32_t>(in.varint());

@@ -97,27 +97,24 @@ void DurationPredictor::save(std::string& out) const {
 
 void DurationPredictor::restore(store::ByteReader& in) {
   std::unordered_map<std::uint64_t, std::vector<int>> per_key;
-  const std::uint64_t n_keys = in.varint();
-  if (n_keys > (std::uint64_t{1} << 40)) in.fail("duration key count absurd");
-  per_key.reserve(static_cast<std::size_t>(n_keys));
+  const std::size_t n_keys = in.count("duration key count");
+  per_key.reserve(n_keys);
   std::uint64_t prev = 0;
-  for (std::uint64_t k = 0; k < n_keys; ++k) {
+  for (std::size_t k = 0; k < n_keys; ++k) {
     prev += in.varint();
-    const std::uint64_t n = in.varint();
-    if (n > (std::uint64_t{1} << 32)) in.fail("duration history absurd");
+    const std::size_t n = in.count("duration history length");
     auto& durations = per_key[prev];
-    durations.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    durations.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t d = in.svarint();
       if (d < 1 || d > INT_MAX) in.fail("duration out of range");
       durations.push_back(static_cast<int>(d));
     }
   }
-  const std::uint64_t n_global = in.varint();
-  if (n_global > (std::uint64_t{1} << 40)) in.fail("global pool absurd");
+  const std::size_t n_global = in.count("global pool size");
   std::vector<int> global;
-  global.reserve(static_cast<std::size_t>(n_global));
-  for (std::uint64_t i = 0; i < n_global; ++i) {
+  global.reserve(n_global);
+  for (std::size_t i = 0; i < n_global; ++i) {
     const std::int64_t d = in.svarint();
     if (d < 1 || d > INT_MAX) in.fail("duration out of range");
     global.push_back(static_cast<int>(d));
@@ -205,22 +202,19 @@ void ClientVolumePredictor::save(std::string& out) const {
 
 void ClientVolumePredictor::restore(store::ByteReader& in) {
   std::unordered_map<std::uint64_t, std::unordered_map<int, Slot>> data;
-  const std::uint64_t n_keys = in.varint();
-  if (n_keys > (std::uint64_t{1} << 40)) in.fail("client key count absurd");
-  data.reserve(static_cast<std::size_t>(n_keys));
+  const std::size_t n_keys = in.count("client key count");
+  data.reserve(n_keys);
   std::uint64_t prev = 0;
-  for (std::uint64_t k = 0; k < n_keys; ++k) {
+  for (std::size_t k = 0; k < n_keys; ++k) {
     prev += in.varint();
     auto& slots = data[prev];
-    const std::uint64_t n_slots = in.varint();
-    if (n_slots > (std::uint64_t{1} << 20)) in.fail("slot count absurd");
-    for (std::uint64_t s = 0; s < n_slots; ++s) {
+    const std::size_t n_slots = in.count("slot count");
+    for (std::size_t s = 0; s < n_slots; ++s) {
       const std::int64_t bod = in.svarint();
       if (bod < 0 || bod > INT_MAX) in.fail("bucket-of-day out of range");
       auto& slot = slots[static_cast<int>(bod)];
-      const std::uint64_t n = in.varint();
-      if (n > (std::uint64_t{1} << 20)) in.fail("slot history absurd");
-      for (std::uint64_t i = 0; i < n; ++i) {
+      const std::size_t n = in.count("slot history length");
+      for (std::size_t i = 0; i < n; ++i) {
         const std::int64_t day = in.svarint();
         if (day < 0 || day > INT_MAX) in.fail("history day out of range");
         const double users = in.f64();

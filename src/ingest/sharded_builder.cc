@@ -11,14 +11,6 @@ constexpr std::size_t kInitialTableSlots = 64;
 constexpr std::size_t kInitialBlockSlots = 1024;
 constexpr std::uint64_t kEmptyBlockKey = ~std::uint64_t{0};
 
-/// splitmix64 finalizer: full-avalanche mix of the packed quartet key.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 [[nodiscard]] constexpr std::size_t log2_of(std::size_t pow2) noexcept {
   std::size_t n = 0;
   while ((std::size_t{1} << n) < pow2) ++n;
@@ -79,7 +71,7 @@ void ShardedQuartetBuilder::grow_table(Shard& shard, Table& table) {
   for (std::size_t i = 0; i < old_capacity; ++i) {
     const Slot& src = table.slots[i];
     if (src.key == kEmptyKey) continue;
-    std::size_t idx = static_cast<std::size_t>(mix64(src.key)) & mask;
+    std::size_t idx = static_cast<std::size_t>(util::mix64(src.key)) & mask;
     while (slots[idx].key != kEmptyKey) idx = (idx + 1) & mask;
     slots[idx] = src;
   }
@@ -97,7 +89,7 @@ void ShardedQuartetBuilder::grow_block_cache(Shard& shard) {
   for (std::size_t i = 0; i < old_capacity; ++i) {
     const BlockSlot& src = shard.block_cache[i];
     if (src.key == kEmptyBlockKey) continue;
-    std::size_t idx = static_cast<std::size_t>(mix64(src.key)) & mask;
+    std::size_t idx = static_cast<std::size_t>(util::mix64(src.key)) & mask;
     while (slots[idx].key != kEmptyBlockKey) idx = (idx + 1) & mask;
     slots[idx] = src;
   }
@@ -108,7 +100,8 @@ void ShardedQuartetBuilder::grow_block_cache(Shard& shard) {
 const net::ClientBlock* ShardedQuartetBuilder::resolve_block(
     Shard& shard, net::Slash24 block) {
   const auto key = static_cast<std::uint64_t>(block.block);
-  std::size_t idx = static_cast<std::size_t>(mix64(key)) & shard.block_mask;
+  std::size_t idx =
+      static_cast<std::size_t>(util::mix64(key)) & shard.block_mask;
   for (;;) {
     BlockSlot& slot = shard.block_cache[idx];
     if (slot.key == key) return slot.block;
@@ -147,7 +140,7 @@ void ShardedQuartetBuilder::add(std::size_t shard_index,
     shard.last_table = table;
   }
   const std::uint64_t key = pack_key(block, record.location, record.device);
-  std::size_t idx = static_cast<std::size_t>(mix64(key)) & table->mask;
+  std::size_t idx = static_cast<std::size_t>(util::mix64(key)) & table->mask;
   for (;;) {
     Slot& slot = table->slots[idx];
     if (slot.key == key) {

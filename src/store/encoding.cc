@@ -109,6 +109,15 @@ std::string_view ByteReader::bytes(std::size_t n) {
   return out;
 }
 
+std::size_t ByteReader::count(const char* what) {
+  const std::uint64_t n = varint();
+  if (n > remaining()) {
+    fail(std::string{what} + " " + std::to_string(n) + " exceeds the " +
+         std::to_string(remaining()) + " bytes left");
+  }
+  return static_cast<std::size_t>(n);
+}
+
 void ByteReader::expect_done() const {
   if (!done()) {
     throw SnapshotError{context_ + ": " + std::to_string(remaining()) +

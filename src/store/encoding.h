@@ -64,6 +64,10 @@ class ByteReader {
   [[nodiscard]] std::string_view string();
   /// Raw byte run of exactly `n` bytes.
   [[nodiscard]] std::string_view bytes(std::size_t n);
+  /// A varint entry count, named `what` in the failure. Every entry costs at
+  /// least one byte, so a count above remaining() is corrupt; rejecting it
+  /// here keeps callers from reserving or resizing from it.
+  [[nodiscard]] std::size_t count(const char* what);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

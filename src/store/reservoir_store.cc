@@ -433,13 +433,14 @@ void ReservoirStore::restore(ByteReader& in) {
 
   std::unordered_map<std::uint64_t, MemRow> memtable;
   std::size_t memtable_samples = 0;
-  const std::uint64_t mem_rows = in.varint();
-  if (mem_rows > (std::uint64_t{1} << 32)) in.fail("memtable row count absurd");
-  std::vector<std::uint64_t> mem_keys(static_cast<std::size_t>(mem_rows));
+  std::vector<std::uint64_t> mem_keys(in.count("memtable row count"));
   std::uint64_t prev = 0;
-  for (auto& key : mem_keys) {
-    prev += in.varint();
-    key = prev;
+  for (std::size_t r = 0; r < mem_keys.size(); ++r) {
+    // Strictly ascending, as save() writes them: a zero delta (or one that
+    // wraps) would fold two rows into one.
+    const std::uint64_t key = prev + in.varint();
+    if (r > 0 && key <= prev) in.fail("duplicate or unsorted memtable key");
+    mem_keys[r] = prev = key;
   }
   memtable.reserve(mem_keys.size());
   for (const std::uint64_t key : mem_keys) {
@@ -461,22 +462,31 @@ void ReservoirStore::restore(ByteReader& in) {
     memtable_samples += row.sample.size();
   }
 
-  const std::uint64_t frozen_rows = in.varint();
-  if (frozen_rows > (std::uint64_t{1} << 40)) in.fail("frozen row count absurd");
+  const std::size_t frozen_rows = in.count("frozen row count");
   auto block = std::make_shared<ReservoirBlock>();
-  block->keys.resize(static_cast<std::size_t>(frozen_rows));
-  block->days.resize(static_cast<std::size_t>(frozen_rows));
+  block->keys.resize(frozen_rows);
+  block->days.resize(frozen_rows);
+  // Frozen rows must be in save()'s normal form: strictly ascending in
+  // ⟨key, day⟩, so no ⟨key, day⟩ appears twice.
+  constexpr const char* kUnsorted =
+      "frozen rows not strictly ascending in <key, day>";
   prev = 0;
-  for (auto& key : block->keys) {
-    prev += in.varint();
-    key = prev;
+  for (std::size_t r = 0; r < frozen_rows; ++r) {
+    const std::uint64_t key = prev + in.varint();
+    if (key < prev) in.fail(kUnsorted);
+    block->keys[r] = prev = key;
   }
   block->min_day = INT_MAX;
   block->max_day = INT_MIN;
-  for (auto& day : block->days) {
+  for (std::size_t r = 0; r < frozen_rows; ++r) {
     const std::int64_t d = in.svarint();
     if (d < INT_MIN || d > INT_MAX) in.fail("row day out of range");
-    day = static_cast<std::int32_t>(d);
+    const auto day = static_cast<std::int32_t>(d);
+    if (r > 0 && block->keys[r] == block->keys[r - 1] &&
+        day <= block->days[r - 1]) {
+      in.fail(kUnsorted);
+    }
+    block->days[r] = day;
     block->min_day = std::min(block->min_day, static_cast<int>(day));
     block->max_day = std::max(block->max_day, static_cast<int>(day));
   }
@@ -484,7 +494,7 @@ void ReservoirStore::restore(ByteReader& in) {
     block->min_day = 0;
     block->max_day = 0;
   }
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(frozen_rows));
+  std::vector<std::uint64_t> counts(frozen_rows);
   std::size_t total_samples = 0;
   for (auto& c : counts) {
     c = in.varint();
@@ -492,6 +502,9 @@ void ReservoirStore::restore(ByteReader& in) {
       in.fail("row sample count exceeds reservoir cap");
     }
     total_samples += static_cast<std::size_t>(c);
+  }
+  if (total_samples > in.remaining() / sizeof(double)) {
+    in.fail("frozen sample count exceeds the bytes left");
   }
   block->offsets.reserve(counts.size() + 1);
   block->offsets.push_back(0);

@@ -130,10 +130,9 @@ DiagnosisRecord read_diagnosis(store::ByteReader& in) {
   p.lost = (pbits & 4) != 0;
   p.no_route = (pbits & 8) != 0;
   p.in_outage = (pbits & 16) != 0;
-  const std::uint64_t n_hops = in.varint();
-  if (n_hops > (std::uint64_t{1} << 20)) in.fail("hop count absurd");
-  p.hops.reserve(static_cast<std::size_t>(n_hops));
-  for (std::uint64_t h = 0; h < n_hops; ++h) {
+  const std::size_t n_hops = in.count("hop count");
+  p.hops.reserve(n_hops);
+  for (std::size_t h = 0; h < n_hops; ++h) {
     sim::TracerouteHop hop;
     hop.as.value = static_cast<std::uint32_t>(in.varint());
     hop.cumulative_rtt_ms = in.f64();
@@ -631,10 +630,9 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
   const std::int64_t last_step_minutes = in.svarint();
   const bool degraded = in.varint() != 0;
 
-  const std::uint64_t n_rows = in.varint();
-  if (n_rows > (std::uint64_t{1} << 40)) in.fail("verdict row count absurd");
-  std::vector<Key> keys(static_cast<std::size_t>(n_rows));
-  std::vector<Verdict> verdicts(static_cast<std::size_t>(n_rows));
+  const std::size_t n_rows = in.count("verdict row count");
+  std::vector<Key> keys(n_rows);
+  std::vector<Verdict> verdicts(n_rows);
   Key prev = 0;
   for (auto& key : keys) {
     prev += in.varint();
@@ -672,27 +670,24 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
   for (auto& v : verdicts) v.mean_rtt_ms = in.f64();
   for (auto& v : verdicts) v.sample_count = static_cast<int>(in.svarint());
 
-  const std::uint64_t n_runs = in.varint();
-  if (n_runs > (std::uint64_t{1} << 32)) in.fail("open-run count absurd");
+  const std::size_t n_runs = in.count("open-run count");
   std::unordered_map<Key, OpenRun> open_runs;
-  open_runs.reserve(static_cast<std::size_t>(n_runs));
-  for (std::uint64_t r = 0; r < n_runs; ++r) {
+  open_runs.reserve(n_runs);
+  for (std::size_t r = 0; r < n_runs; ++r) {
     const std::uint64_t key = in.u64();
     OpenRun run;
     run.incident = read_incident(in, format);
     run.last_bucket = util::TimeBucket{in.svarint()};
     open_runs.emplace(key, std::move(run));
   }
-  const std::uint64_t n_closed = in.varint();
-  if (n_closed > (std::uint64_t{1} << 32)) in.fail("closed count absurd");
+  const std::size_t n_closed = in.count("closed count");
   std::deque<Incident> closed;
-  for (std::uint64_t c = 0; c < n_closed; ++c) {
+  for (std::size_t c = 0; c < n_closed; ++c) {
     closed.push_back(read_incident(in, format));
   }
-  const std::uint64_t n_diagnoses = in.varint();
-  if (n_diagnoses > (std::uint64_t{1} << 32)) in.fail("diagnosis count absurd");
+  const std::size_t n_diagnoses = in.count("diagnosis count");
   std::deque<DiagnosisRecord> diagnoses;
-  for (std::uint64_t d = 0; d < n_diagnoses; ++d) {
+  for (std::size_t d = 0; d < n_diagnoses; ++d) {
     diagnoses.push_back(read_diagnosis(in));
   }
   in.expect_done();

@@ -16,6 +16,15 @@ namespace blameit::util {
 /// for cheap stateless hashing of ids into streams.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// splitmix64's output step as a stateless, full-avalanche mix of one key:
+/// the hash behind the open-addressing tables in ingest and Algorithm 1.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// Stateless hash of (seed, key) — handy for deriving per-entity substreams.
 [[nodiscard]] std::uint64_t hash_combine(std::uint64_t seed,
                                          std::uint64_t key) noexcept;

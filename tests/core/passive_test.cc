@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "sim/fault.h"
 #include "sim/scenario.h"
@@ -678,6 +679,420 @@ TEST_F(PassiveTest, InvalidConfigRejected) {
                std::invalid_argument);
   EXPECT_THROW((PassiveLocalizer{nullptr, &learner}), std::invalid_argument);
   EXPECT_THROW((PassiveLocalizer{topo_, nullptr}), std::invalid_argument);
+}
+
+// ---- Oracle: the map-and-set formulation of Algorithm 1 -------------------
+
+// Reference Algorithm 1 with the semantics the dense pass-1 tables must keep:
+// a std::map entry per cloud/middle group whose comparison RTT is fixed by
+// the group's first quartet in input order, a std::map<block,
+// std::set<location>> of good locations for the ambiguity rule, and the same
+// branch order. Serial and unsharded, so it cannot share a bug with the
+// shard merge.
+std::vector<BlameResult> oracle_localize(
+    const net::Topology& topo, const analysis::ExpectedRttLearner& learner,
+    const BlameItConfig& cfg, std::span<const analysis::Quartet> quartets,
+    int day, const SteerShield* shield = nullptr) {
+  struct Group {
+    int quartets = 0;
+    int bad = 0;
+    int unshielded = 0;
+    int unshielded_bad = 0;
+    double value = 0.0;
+    bool transferred = false;
+    bool churned = false;
+  };
+  // ⟨is middle, location, path (0 for cloud groups), device⟩.
+  using GroupId = std::tuple<bool, std::uint16_t, std::uint32_t, int>;
+  std::map<GroupId, Group> groups;
+  std::map<std::uint32_t, std::set<std::uint16_t>> good_locations;
+  const analysis::BadnessThresholds thresholds;
+  const bool shield_on = shield && !shield->empty();
+
+  const auto group = [&](const GroupId& id, analysis::ExpectedRttKey key,
+                         const analysis::Quartet& q) -> Group& {
+    const auto [it, fresh] = groups.try_emplace(id);
+    Group& g = it->second;
+    if (!fresh) return g;
+    const double fallback = thresholds.threshold(q.region, q.key.device);
+    if (cfg.churn_baseline_transfer) {
+      const auto graded = learner.expected_with_provenance(key, day);
+      g.value = graded.value.value_or(fallback);
+      g.transferred =
+          graded.provenance == analysis::BaselineProvenance::kTransferred;
+      g.churned = learner.recently_churned(key, day);
+    } else {
+      g.value = learner.expected(key, day).value_or(fallback);
+    }
+    return g;
+  };
+  const auto cloud = [&](const analysis::Quartet& q) -> Group& {
+    return group({false, q.key.location.value, 0,
+                  static_cast<int>(q.key.device)},
+                 analysis::cloud_key(q.key.location, q.key.device), q);
+  };
+  const auto middle = [&](const analysis::Quartet& q) -> Group& {
+    return group({true, q.key.location.value, q.middle.value,
+                  static_cast<int>(q.key.device)},
+                 analysis::middle_key(q.key.location, q.middle, q.key.device),
+                 q);
+  };
+  const auto fraction = [](int bad, int n) {
+    return n == 0 ? 0.0 : static_cast<double>(bad) / n;
+  };
+
+  for (const auto& q : quartets) {
+    Group& cg = cloud(q);
+    const bool cloud_bad = q.mean_rtt_ms > cg.value;
+    ++cg.quartets;
+    cg.bad += cloud_bad;
+    if (shield_on &&
+        !shield->contains(steer_shield_key(q.key.location, q.key.block))) {
+      ++cg.unshielded;
+      cg.unshielded_bad += cloud_bad;
+    }
+    Group& mg = middle(q);
+    ++mg.quartets;
+    mg.bad += q.mean_rtt_ms > mg.value;
+    if (!q.bad) good_locations[q.key.block.block].insert(q.key.location.value);
+  }
+
+  std::vector<BlameResult> out;
+  for (const auto& q : quartets) {
+    const Group& cg = cloud(q);
+    const Group& mg = middle(q);
+    const auto grade =
+        mg.transferred ? BaselineGrade::Transferred : BaselineGrade::Fresh;
+    if (!q.bad) {
+      if (cfg.churn_baseline_transfer && mg.churned &&
+          mg.quartets > cfg.min_group_quartets &&
+          fraction(mg.bad, mg.quartets) >= cfg.tau &&
+          q.mean_rtt_ms > mg.value) {
+        out.push_back({.quartet = q, .blame = Blame::Middle, .grade = grade});
+      }
+      continue;
+    }
+    BlameResult r{.quartet = q};
+    const bool cloud_blamed =
+        shield_on ? cg.unshielded > cfg.min_group_quartets &&
+                        fraction(cg.unshielded_bad, cg.unshielded) >= cfg.tau
+                  : fraction(cg.bad, cg.quartets) >= cfg.tau;
+    if (cg.quartets <= cfg.min_group_quartets) {
+      r.blame = Blame::Insufficient;
+    } else if (cloud_blamed) {
+      r.blame = Blame::Cloud;
+      r.faulty_as = topo.cloud_as();
+    } else if (mg.quartets <= cfg.min_group_quartets) {
+      r.blame = Blame::Insufficient;
+    } else if (fraction(mg.bad, mg.quartets) >= cfg.tau) {
+      r.blame = Blame::Middle;
+      r.grade = grade;
+    } else {
+      const auto it = good_locations.find(q.key.block.block);
+      if (it != good_locations.end() &&
+          (it->second.size() > 1 ||
+           !it->second.contains(q.key.location.value))) {
+        r.blame = Blame::Ambiguous;
+      } else {
+        r.blame = Blame::Client;
+        r.faulty_as = q.client_as;
+      }
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// Runs localize() serially and on 4 threads and requires both to equal the
+/// oracle exactly; returns the oracle's results.
+std::vector<BlameResult> expect_matches_oracle(
+    const net::Topology& topo, const analysis::ExpectedRttLearner& learner,
+    BlameItConfig cfg, const std::vector<analysis::Quartet>& quartets,
+    int day, const SteerShield* shield = nullptr) {
+  const auto expected =
+      oracle_localize(topo, learner, cfg, quartets, day, shield);
+  for (const int threads : {1, 4}) {
+    cfg.analytics_threads = threads;
+    const PassiveLocalizer localizer{&topo, &learner, cfg};
+    EXPECT_EQ(localizer.localize(quartets, day, shield), expected)
+        << "analytics_threads " << threads;
+  }
+  return expected;
+}
+
+/// Index of a non-mobile good quartet in `region` whose /24 also has a good
+/// quartet at a location of the other parity (so the two land on different
+/// shards at any even thread count).
+std::size_t dual_homed_good(const std::vector<analysis::Quartet>& quartets,
+                            net::Region region) {
+  std::map<std::uint32_t, std::vector<std::size_t>> by_block;
+  for (std::size_t i = 0; i < quartets.size(); ++i) {
+    const auto& q = quartets[i];
+    if (q.key.device == net::DeviceClass::NonMobile && q.region == region &&
+        !q.bad) {
+      by_block[q.key.block.block].push_back(i);
+    }
+  }
+  for (const auto& [block, indices] : by_block) {
+    for (std::size_t a = 0; a < indices.size(); ++a) {
+      for (std::size_t b = a + 1; b < indices.size(); ++b) {
+        if (((quartets[indices[a]].key.location.value ^
+              quartets[indices[b]].key.location.value) & 1) != 0) {
+          return indices[a];
+        }
+      }
+    }
+  }
+  return quartets.size();
+}
+
+TEST_F(PassiveTest, OracleMatchesWithEveryBlameBranchLive) {
+  analysis::ExpectedRttLearner learner;
+  warm(learner, 14);
+  sim::FaultInjector faults;
+  const auto day14 = util::MinuteTime::from_days(14);
+  faults.add(sim::Fault{.kind = sim::FaultKind::CloudLocation,
+                        .cloud_location =
+                            topo_->locations_in(net::Region::Europe).front(),
+                        .added_ms = 80.0,
+                        .start = day14,
+                        .duration_minutes = util::kMinutesPerDay});
+  faults.add(sim::Fault{.kind = sim::FaultKind::MiddleAs,
+                        .as = most_used_transit(*topo_, net::Region::India),
+                        .added_ms = 130.0,
+                        .start = day14,
+                        .duration_minutes = util::kMinutesPerDay});
+  faults.add(sim::Fault{.kind = sim::FaultKind::ClientAs,
+                        .as = shared_middle_eyeball(*topo_,
+                                                    net::Region::Brazil),
+                        .added_ms = 150.0,
+                        .start = day14,
+                        .duration_minutes = util::kMinutesPerDay});
+  auto quartets = quartets_for(faults, eval_bucket());
+
+  // Ambiguous: bad at one location, still good at another.
+  const auto ambiguous = dual_homed_good(quartets, net::Region::UnitedStates);
+  ASSERT_LT(ambiguous, quartets.size());
+  quartets[ambiguous].mean_rtt_ms += 300.0;
+  quartets[ambiguous].bad = true;
+  // Insufficient: a bad quartet alone on a path no other quartet uses.
+  analysis::Quartet lone = quartets[ambiguous];
+  lone.key.block = net::Slash24{lone.key.block.block + 1};
+  lone.middle = net::MiddleSegmentId{0xFFFFFF};
+  quartets.push_back(lone);
+
+  const auto results =
+      expect_matches_oracle(*topo_, learner, {}, quartets, 14);
+  std::map<Blame, int> hist;
+  for (const auto& r : results) ++hist[r.blame];
+  for (const auto blame : kAllBlames) {
+    EXPECT_GT(hist[blame], 0) << to_string(blame);
+  }
+}
+
+TEST_F(PassiveTest, OracleMatchesWithChurnBaselineTransfer) {
+  // Soft badness and the transferred grade: one churned middle group shifts
+  // above its expectation while staying under the badness threshold, and
+  // one group on a brand-new path inherits a transferred baseline and goes
+  // hard bad.
+  analysis::ExpectedRttLearner learner;
+  warm(learner, 14);
+  const sim::FaultInjector no_faults;
+  auto quartets = quartets_for(no_faults, eval_bucket());
+  BlameItConfig cfg;
+  cfg.churn_baseline_transfer = true;
+  const PassiveLocalizer probe{topo_, &learner, cfg};
+  const analysis::BadnessThresholds thresholds;
+
+  // The largest non-mobile middle group at each of two locations.
+  const auto largest_group = [&](net::CloudLocationId loc) {
+    std::map<std::uint32_t, int> sizes;
+    for (const auto& q : quartets) {
+      if (q.key.location == loc &&
+          q.key.device == net::DeviceClass::NonMobile) {
+        ++sizes[q.middle.value];
+      }
+    }
+    return std::max_element(sizes.begin(), sizes.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.second < b.second;
+                            })
+        ->first;
+  };
+  const auto soft_loc = topo_->locations_in(net::Region::UnitedStates).front();
+  const net::MiddleSegmentId soft_path{largest_group(soft_loc)};
+  const auto soft_key = analysis::middle_key(soft_loc, soft_path,
+                                             net::DeviceClass::NonMobile);
+  // Any other key with history will do as the source: the entry marks the
+  // target recently churned, and its own fresh median still wins.
+  ASSERT_TRUE(learner.transfer_baseline(
+      analysis::cloud_key(soft_loc, net::DeviceClass::NonMobile), soft_key,
+      14));
+  int soft_members = 0;
+  for (auto& q : quartets) {
+    if (q.key.location != soft_loc || q.middle != soft_path ||
+        q.key.device != net::DeviceClass::NonMobile || q.bad) {
+      continue;
+    }
+    const double expected =
+        probe.comparison_rtt(soft_key, 14, q.region, q.key.device);
+    const double limit = thresholds.threshold(q.region, q.key.device);
+    if (expected < limit) {
+      q.mean_rtt_ms = (expected + limit) / 2;  // above expectation, not bad
+      ++soft_members;
+    }
+  }
+  ASSERT_GT(soft_members, cfg.min_group_quartets);
+
+  const auto moved_loc = topo_->locations_in(net::Region::Europe).front();
+  const net::MiddleSegmentId old_path{largest_group(moved_loc)};
+  const net::MiddleSegmentId new_path{0xFFFFFE};
+  ASSERT_TRUE(learner.transfer_baseline(
+      analysis::middle_key(moved_loc, old_path, net::DeviceClass::NonMobile),
+      analysis::middle_key(moved_loc, new_path, net::DeviceClass::NonMobile),
+      14));
+  for (auto& q : quartets) {
+    if (q.key.location == moved_loc && q.middle == old_path &&
+        q.key.device == net::DeviceClass::NonMobile) {
+      q.middle = new_path;
+      q.mean_rtt_ms += 200.0;
+      q.bad = true;
+    }
+  }
+
+  const auto results = expect_matches_oracle(*topo_, learner, cfg, quartets,
+                                             14);
+  int soft_bad = 0;
+  int transferred = 0;
+  for (const auto& r : results) {
+    soft_bad += !r.quartet.bad && r.blame == Blame::Middle;
+    transferred += r.grade == BaselineGrade::Transferred;
+  }
+  EXPECT_GT(soft_bad, 0);
+  EXPECT_GT(transferred, 0);
+}
+
+TEST_F(PassiveTest, OracleMatchesUnderSteerShield) {
+  analysis::ExpectedRttLearner learner;
+  warm(learner, 14);
+  const sim::FaultInjector no_faults;
+  auto quartets = quartets_for(no_faults, eval_bucket());
+  const auto loc = topo_->locations_in(net::Region::Europe).front();
+  SteerShield shield;
+  int steered = 0;
+  for (auto& q : quartets) {
+    // Steer two of every three of the location's /24s: the cloud group's
+    // full fraction crosses τ while its un-shielded remainder stays healthy.
+    if (q.key.location != loc || q.key.block.block % 3 == 0) continue;
+    q.mean_rtt_ms += 120.0;
+    q.bad = true;
+    shield.insert(steer_shield_key(q.key.location, q.key.block));
+    ++steered;
+  }
+  ASSERT_GT(steered, 10);
+  const auto results = expect_matches_oracle(*topo_, learner, {}, quartets,
+                                             14, &shield);
+  // The shield must change some verdict, or the un-shielded counters went
+  // unexercised.
+  EXPECT_NE(results, oracle_localize(*topo_, learner, {}, quartets, 14));
+}
+
+// ---- Ambiguity-rule edges on hand-built buckets ----------------------------
+
+/// A quartet of /24 `block` at location `loc`, judged against the empty
+/// learner's fallback (the region threshold): good at half of it, bad at
+/// three times it.
+analysis::Quartet hand_quartet(std::uint32_t block, std::uint16_t loc,
+                               net::DeviceClass device, bool bad) {
+  analysis::Quartet q;
+  q.key = analysis::QuartetKey{.block = net::Slash24{block},
+                               .location = net::CloudLocationId{loc},
+                               .device = device,
+                               .bucket = util::TimeBucket{100}};
+  q.sample_count = 20;
+  q.region = net::Region::Europe;
+  const double limit =
+      analysis::BadnessThresholds{}.threshold(q.region, device);
+  q.mean_rtt_ms = bad ? 3 * limit : limit / 2;
+  q.middle = net::MiddleSegmentId{7};
+  q.client_as = net::AsId{64500};
+  q.bad = bad;
+  return q;
+}
+
+/// Healthy quartets from 8 other /24s per location and device class: every
+/// cloud and middle group clears min_group_quartets and stays far below τ,
+/// so a bad /24 among them reaches the ambiguity rule.
+std::vector<analysis::Quartet> healthy_backdrop(
+    std::initializer_list<std::uint16_t> locations) {
+  std::vector<analysis::Quartet> out;
+  for (const auto loc : locations) {
+    for (const auto device : net::kAllDeviceClasses) {
+      for (std::uint32_t i = 0; i < 8; ++i) {
+        out.push_back(hand_quartet(1000 + 100 * loc + i, loc, device, false));
+      }
+    }
+  }
+  return out;
+}
+
+constexpr std::uint32_t kVictim = 42;
+
+/// Blames of the victim /24's bad quartets, checked against the oracle at 1
+/// and 4 threads, for the bucket as given and for the bucket followed by
+/// its own reverse. The second feed repeats every quartet (as
+/// BM_Algorithm1Scaled does) and ends on the location it started with: a
+/// repeated ⟨/24, location⟩ is one location, never a second one, and a
+/// revisit must not erase what was seen in between.
+std::set<Blame> victim_blames(const net::Topology& topo,
+                              const std::vector<analysis::Quartet>& quartets) {
+  const analysis::ExpectedRttLearner learner;
+  auto twice = quartets;
+  twice.insert(twice.end(), quartets.rbegin(), quartets.rend());
+  std::set<Blame> blames;
+  const auto collect = [&](const std::vector<analysis::Quartet>& feed) {
+    for (const auto& r : expect_matches_oracle(topo, learner, {}, feed, 0)) {
+      if (r.quartet.key.block.block == kVictim) blames.insert(r.blame);
+    }
+  };
+  collect(quartets);
+  collect(twice);
+  return blames;
+}
+
+TEST_F(PassiveTest, GoodOnlyAtOwnLocationUnderOtherDeviceIsClient) {
+  auto quartets = healthy_backdrop({1, 2});
+  quartets.push_back(hand_quartet(kVictim, 1, net::DeviceClass::Mobile, false));
+  quartets.push_back(
+      hand_quartet(kVictim, 1, net::DeviceClass::NonMobile, true));
+  EXPECT_EQ(victim_blames(*topo_, quartets), std::set<Blame>{Blame::Client});
+}
+
+TEST_F(PassiveTest, GoodAtTwoOtherLocationsOnDifferentShardsIsAmbiguous) {
+  // Locations 0, 1 and 2 are three different shards at 4 threads.
+  auto quartets = healthy_backdrop({0, 1, 2});
+  quartets.push_back(
+      hand_quartet(kVictim, 1, net::DeviceClass::NonMobile, false));
+  quartets.push_back(
+      hand_quartet(kVictim, 2, net::DeviceClass::NonMobile, false));
+  quartets.push_back(
+      hand_quartet(kVictim, 0, net::DeviceClass::NonMobile, true));
+  EXPECT_EQ(victim_blames(*topo_, quartets),
+            std::set<Blame>{Blame::Ambiguous});
+}
+
+TEST_F(PassiveTest, GoodAtOwnLocationAndAnotherOnItsShardIsAmbiguous) {
+  // Locations 1 and 5 share shard 1 at 4 threads, and shard 0 never sees the
+  // /24: only the summary's "multi" bit, carried through the merge, says it
+  // was good somewhere besides location 1.
+  auto quartets = healthy_backdrop({0, 1, 5});
+  quartets.push_back(hand_quartet(kVictim, 1, net::DeviceClass::Mobile, false));
+  quartets.push_back(
+      hand_quartet(kVictim, 5, net::DeviceClass::NonMobile, false));
+  quartets.push_back(
+      hand_quartet(kVictim, 1, net::DeviceClass::NonMobile, true));
+  EXPECT_EQ(victim_blames(*topo_, quartets),
+            std::set<Blame>{Blame::Ambiguous});
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+
+#include "store/encoding.h"
 
 namespace blameit::core {
 namespace {
@@ -135,6 +138,25 @@ TEST(ClientVolumePredictor, EvictStaleKeepsRecent) {
 
 TEST(ClientVolumePredictor, InvalidWindowThrows) {
   EXPECT_THROW(ClientVolumePredictor{0}, std::invalid_argument);
+}
+
+TEST(ClientVolumePredictor, RestoreRejectsKeyCountBeyondTheBytesLeft) {
+  // 6 bytes declaring 2^40 keys: before the count was bounded by the
+  // section's size, restore reserved a 2^40-bucket map (std::bad_alloc).
+  std::string payload;
+  store::put_varint(payload, std::uint64_t{1} << 40);
+  ASSERT_EQ(payload.size(), 6u);
+  store::ByteReader reader{payload, 40, "section \"clients\""};
+  ClientVolumePredictor pred{3};
+  try {
+    pred.restore(reader);
+    FAIL() << "expected SnapshotError";
+  } catch (const store::SnapshotError& e) {
+    const std::string error = e.what();
+    EXPECT_NE(error.find("section \"clients\""), std::string::npos) << error;
+    EXPECT_NE(error.find("client key count"), std::string::npos) << error;
+    EXPECT_NE(error.find("at offset 46"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

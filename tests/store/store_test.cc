@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "store/encoding.h"
@@ -230,6 +232,94 @@ TEST(ReservoirStore, RejectsOutOfOrderDays) {
   EXPECT_THROW(store.observe(1, 2, 1.0), std::invalid_argument);
   store.observe(1, 3, 2.0);  // same day is fine
   store.observe(1, 4, 3.0);
+}
+
+/// Restores `payload` (placed at file offset 100 of section "learner") into
+/// a fresh store; returns the SnapshotError message, or "" if accepted.
+std::string restore_error(std::string_view payload) {
+  ReservoirStore store{{.background_merge = false}};
+  ByteReader reader{payload, 100, "section \"learner\""};
+  try {
+    store.restore(reader);
+  } catch (const SnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ReservoirStore, RestoreRejectsRowCountBeyondTheBytesLeft) {
+  // 9 bytes declaring 2^40 frozen rows: before the count was bounded by the
+  // section's size, restore tried to allocate 8 TiB (std::bad_alloc).
+  std::string payload;
+  put_varint(payload, 1);                      // format
+  put_svarint(payload, 0);                     // memtable day
+  put_varint(payload, 0);                      // memtable rows
+  put_varint(payload, std::uint64_t{1} << 40);  // frozen rows
+  ASSERT_EQ(payload.size(), 9u);
+  const std::string error = restore_error(payload);
+  EXPECT_NE(error.find("section \"learner\""), std::string::npos) << error;
+  EXPECT_NE(error.find("frozen row count"), std::string::npos) << error;
+  EXPECT_NE(error.find("at offset 109"), std::string::npos) << error;
+}
+
+/// A memtable of two 256-sample rows (the default reservoir cap) whose keys
+/// are 7 and 7 + `second_delta`, and no frozen rows.
+std::string two_row_memtable(std::uint64_t second_delta) {
+  std::string payload;
+  put_varint(payload, 1);   // format
+  put_svarint(payload, 3);  // memtable day
+  put_varint(payload, 2);   // memtable rows
+  put_varint(payload, 7);   // key deltas
+  put_varint(payload, second_delta);
+  for (int r = 0; r < 2; ++r) put_varint(payload, 256);  // seen
+  for (int r = 0; r < 2; ++r) put_varint(payload, 256);  // sample counts
+  for (int i = 0; i < 512; ++i) put_f64(payload, 1.0 + i);
+  put_varint(payload, 0);   // frozen rows
+  return payload;
+}
+
+TEST(ReservoirStore, RestoreRejectsDuplicateMemtableKey) {
+  EXPECT_EQ(restore_error(two_row_memtable(1)), "");
+  // Keys {7, 7} used to merge into one 512-sample row over the cap, which
+  // the store's own save() output then failed to restore.
+  const std::string error = restore_error(two_row_memtable(0));
+  EXPECT_NE(error.find("duplicate or unsorted memtable key"),
+            std::string::npos)
+      << error;
+}
+
+/// Frozen rows in the given order, one sample each, behind an empty
+/// memtable. Key deltas are written modulo 2^64, as a corrupt file may.
+std::string frozen_rows(
+    const std::vector<std::pair<std::uint64_t, int>>& rows) {
+  std::string payload;
+  put_varint(payload, 1);    // format
+  put_svarint(payload, 10);  // memtable day
+  put_varint(payload, 0);    // memtable rows
+  put_varint(payload, rows.size());
+  std::uint64_t prev = 0;
+  for (const auto& [key, day] : rows) {
+    put_varint(payload, key - prev);
+    prev = key;
+  }
+  for (const auto& [key, day] : rows) put_svarint(payload, day);
+  for (std::size_t r = 0; r < rows.size(); ++r) put_varint(payload, 1);
+  for (std::size_t r = 0; r < rows.size(); ++r) put_f64(payload, 50.0);
+  return payload;
+}
+
+TEST(ReservoirStore, RestoreRequiresFrozenRowsStrictlyAscendingInKeyDay) {
+  EXPECT_EQ(restore_error(frozen_rows({{5, 1}, {5, 2}, {6, 0}})), "");
+  for (const auto& rows :
+       std::vector<std::vector<std::pair<std::uint64_t, int>>>{
+           {{5, 1}, {5, 1}},    // the same ⟨key, day⟩ twice
+           {{5, 2}, {5, 1}},    // days descending within a key
+           {{6, 1}, {5, 1}}}) {  // keys descending (a wrapped delta)
+    const std::string error = restore_error(frozen_rows(rows));
+    EXPECT_NE(error.find("frozen rows not strictly ascending"),
+              std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// End-to-end analytics throughput: BlameItPipeline::step() latency at 1/2/4/8
-// analytics threads (location-sharded localize()), over identical
-// pre-materialized telemetry so every run processes the same quartet stream.
+// End-to-end analytics throughput: BlameItPipeline::step() latency at 1 and
+// 2 analytics threads (serial, and learning beside localize()), over
+// identical pre-materialized telemetry so every run processes the same
+// quartet stream.
 // Results go to stdout and BENCH_pipeline_throughput.json (BenchReport).
 // Every configuration's blame count is asserted equal to the 1-thread run's
 // — the thread knob must be a pure perf knob (the tests prove it
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
 
   const int eval_hours = argc > 1 ? std::atoi(argv[1]) : 6;
   const int warm_days = argc > 2 ? std::atoi(argv[2]) : 2;
-  bench::header("pipeline step() throughput: parallel analytics core",
+  bench::header("pipeline step() throughput: learn beside localize",
                 "§3.3 near-real-time passive phase at scale");
 
   // One stack provides topology + telemetry; ambient incidents make the
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
   };
 
   RunOutcome serial;
-  for (const int threads : {1, 2, 4, 8}) {
+  for (const int threads : {1, 2}) {
     const auto outcome = run_config(threads);
     if (threads == 1) serial = outcome;
     if (outcome.blames != serial.blames) {
@@ -121,14 +122,14 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  // Observability overhead: the same 4-thread configuration with a live
+  // Observability overhead: the same 2-thread configuration with a live
   // obs::Registry attached (every layer instrumented) vs without. The
   // instruments are resolved-once pointers + relaxed atomics, so this
   // should stay within noise (<2% target).
   {
-    const auto plain = run_config(4);
+    const auto plain = run_config(2);
     obs::Registry registry;
-    const auto instrumented = run_config(4, &registry);
+    const auto instrumented = run_config(2, &registry);
     if (instrumented.blames != plain.blames) {
       std::fprintf(stderr,
                    "FATAL: registry-attached run produced %ld blames, plain "
@@ -138,12 +139,12 @@ int main(int argc, char** argv) {
     }
     const double overhead_pct =
         (instrumented.wall_ms / plain.wall_ms - 1.0) * 100.0;
-    std::printf("obs registry overhead (4 threads): plain %.1f ms, "
+    std::printf("obs registry overhead (2 threads): plain %.1f ms, "
                 "instrumented %.1f ms -> %+.2f%% (target <2%%)\n\n",
                 plain.wall_ms, instrumented.wall_ms, overhead_pct);
-    report.add_run("4 threads + obs registry", instrumented.wall_ms,
+    report.add_run("2 threads + obs registry", instrumented.wall_ms,
                    qps(instrumented),
-                   {{"threads", 4.0}, {"obs_overhead_pct", overhead_pct}});
+                   {{"threads", 2.0}, {"obs_overhead_pct", overhead_pct}});
   }
 
   report.write();

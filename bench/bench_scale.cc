@@ -7,7 +7,9 @@
 //   - topology build time at that scale (the 1M generator itself)
 //   - verdict publish throughput (records/s over synthesized step reports
 //     covering every /24)
-//   - learner observe throughput over a fixed synthetic key population
+//   - learner observe throughput over a fixed synthetic key population, and
+//     the once-a-day freeze of its expectation table (one window median per
+//     key), beside the learner key count this topology's paths would give
 //   - live verdict/learner state bytes (verdict_state_bytes / approx store)
 //   - snapshot save and restore wall time + snapshot file size
 //   - peak RSS of the whole child
@@ -30,7 +32,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/expected_rtt.h"
@@ -97,6 +101,22 @@ CellResult run_cell(std::size_t scale) {
   const double learn_ms = ms_since(learn_t0);
   r.values["learner_observe_per_sec"] =
       1000.0 * kLearnerKeys * kLearnerDays * kSamplesPerDay / learn_ms;
+  const auto freeze_t0 = Clock::now();
+  learner.freeze_day(kLearnerDays);
+  r.values["learner_freeze_ms"] = ms_since(freeze_t0);
+  // A cloud and a middle key per device for every ⟨home location, path⟩.
+  std::set<std::pair<std::uint16_t, std::uint32_t>> paths;
+  for (const auto& cb : blocks) {
+    for (const auto loc : topology->home_locations(cb.block)) {
+      if (const auto* route = topology->routing().route_for(
+              loc, cb.block, util::MinuteTime{0})) {
+        paths.emplace(loc.value, route->middle.value);
+      }
+    }
+  }
+  r.values["learner_path_keys"] = static_cast<double>(
+      net::kAllDeviceClasses.size() *
+      (paths.size() + topology->locations().size()));
 
   // --- Verdict store: synthesized step reports covering every /24 once per
   // step (the "every client block has a live verdict" worst case).
@@ -254,10 +274,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "  %8zu /24s  rss=%7.1f MB  verdicts=%.0f rec/s  store=%6.1f MB  "
-        "save=%6.1f ms  restore=%6.1f ms\n",
+        "save=%6.1f ms  restore=%6.1f ms  freeze=%5.1f ms (%.0f path keys)\n",
         scale, cell["peak_rss_mb"], cell["verdict_records_per_sec"],
         cell["verdict_state_bytes"] / (1024.0 * 1024.0),
-        cell["snapshot_save_ms"], cell["snapshot_restore_ms"]);
+        cell["snapshot_save_ms"], cell["snapshot_restore_ms"],
+        cell["learner_freeze_ms"], cell["learner_path_keys"]);
   }
 
   bench::BenchReport report{"scale"};

@@ -49,21 +49,16 @@ ExpectedRttLearner::ExpectedRttLearner(ExpectedRttConfig config)
   tracked_keys_g_ = obs::gauge(config_.registry, "learner.tracked_keys");
 }
 
-void ExpectedRttLearner::clear_memo() {
-  memo_.clear();
-  memo_max_day_ = INT_MIN;
-}
-
 void ExpectedRttLearner::observe(ExpectedRttKey key, int day, double rtt_ms) {
   if (day < 0 || rtt_ms < 0.0) {
     throw std::invalid_argument{"ExpectedRttLearner: negative day or RTT"};
   }
-  // A memoized median for query day q pools days [q - window, q - 1], so
-  // this observation can land inside a memoized window only when q > day;
-  // then the whole memo goes (cleared entries recompute identically). The
-  // steady state — memo and observations both on the current day — never
-  // clears, which is the whole point.
-  if (day < memo_max_day_) clear_memo();
+  // A day before the frozen one lands inside the frozen window, so the
+  // table goes. The pipeline only ever observes the frozen day or later.
+  if (day < table_day_) {
+    table_.clear();
+    table_day_ = INT_MIN;
+  }
   store_.observe(key.packed, day, rtt_ms);
   obs::set(tracked_keys_g_, static_cast<double>(store_.tracked_keys()));
 }
@@ -77,34 +72,46 @@ std::optional<double> ExpectedRttLearner::window_median(std::uint64_t key,
   return util::median_inplace(pool);
 }
 
+GradedExpectation ExpectedRttLearner::transferred(std::uint64_t key,
+                                                  int day) const {
+  const auto it = transfers_.find(key);
+  if (it == transfers_.end() ||
+      day - it->second.day > config_.transfer_max_age_days) {
+    return GradedExpectation{};
+  }
+  return GradedExpectation{it->second.value * config_.transfer_discount,
+                           BaselineProvenance::kTransferred};
+}
+
+bool ExpectedRttLearner::churned_on(std::uint64_t key, int day) const {
+  const auto it = transfers_.find(key);
+  return it != transfers_.end() && it->second.day <= day &&
+         day - it->second.day <= config_.transfer_max_age_days;
+}
+
 std::optional<double> ExpectedRttLearner::expected(ExpectedRttKey key,
                                                    int day) const {
-  if (!store_.contains(key.packed)) return std::nullopt;
-  std::lock_guard lock{cache_mutex_};
-  auto& memo = memo_[key.packed];
-  if (memo.cache_day != day) {
-    obs::add(memo_misses_c_);
-    memo.cache_value = window_median(key.packed, day);
-    memo.cache_day = day;
-    memo_max_day_ = std::max(memo_max_day_, day);
-  } else {
-    obs::add(memo_hits_c_);
+  if (day == table_day_) {
+    const auto graded = expected_with_provenance(key, day);
+    return graded.provenance == BaselineProvenance::kFresh ? graded.value
+                                                           : std::nullopt;
   }
-  return memo.cache_value;
+  if (!store_.contains(key.packed)) return std::nullopt;
+  obs::add(memo_misses_c_);
+  return window_median(key.packed, day);
 }
 
 GradedExpectation ExpectedRttLearner::expected_with_provenance(
     ExpectedRttKey key, int day) const {
+  if (day == table_day_) {
+    obs::add(memo_hits_c_);
+    const auto it = table_.find(key.packed);
+    return it == table_.end() ? GradedExpectation{} : it->second.graded;
+  }
   if (auto fresh = expected(key, day)) {
     return GradedExpectation{fresh, BaselineProvenance::kFresh};
   }
-  const auto it = transfers_.find(key.packed);
-  if (it != transfers_.end() &&
-      day - it->second.day <= config_.transfer_max_age_days) {
-    return GradedExpectation{it->second.value * config_.transfer_discount,
-                             BaselineProvenance::kTransferred};
-  }
-  return GradedExpectation{};
+  return transferred(key.packed, day);
 }
 
 bool ExpectedRttLearner::transfer_baseline(ExpectedRttKey from_key,
@@ -115,12 +122,10 @@ bool ExpectedRttLearner::transfer_baseline(ExpectedRttKey from_key,
   double value = 0.0;
   if (const auto fresh = expected(from_key, day)) {
     value = *fresh;
-  } else if (const auto it = transfers_.find(from_key.packed);
-             it != transfers_.end() &&
-             day - it->second.day <= config_.transfer_max_age_days) {
+  } else if (const auto chained = transferred(from_key.packed, day).value) {
     // Chained transfer (the path churned twice inside the age limit): one
     // more discount compounds at read time.
-    value = it->second.value * config_.transfer_discount;
+    value = *chained;
   } else {
     return false;  // source has nothing usable
   }
@@ -136,13 +141,18 @@ bool ExpectedRttLearner::transfer_baseline(ExpectedRttKey from_key,
   }
   transfers_[to_key.packed] =
       TransferEntry{.day = day, .value = value, .from_key = from_key.packed};
+  // Whatever day the event is dated, the frozen day's answers for the
+  // target change with it.
+  if (table_day_ != INT_MIN) patch_transfer_row(to_key.packed);
   return true;
 }
 
 bool ExpectedRttLearner::recently_churned(ExpectedRttKey key, int day) const {
-  const auto it = transfers_.find(key.packed);
-  return it != transfers_.end() && it->second.day <= day &&
-         day - it->second.day <= config_.transfer_max_age_days;
+  if (day == table_day_) {
+    const auto it = table_.find(key.packed);
+    return it != table_.end() && it->second.churned;
+  }
+  return churned_on(key.packed, day);
 }
 
 std::size_t ExpectedRttLearner::history_size(ExpectedRttKey key,
@@ -160,12 +170,32 @@ void ExpectedRttLearner::evict_stale(int day) {
       ++it;
     }
   }
-  const std::size_t dropped = store_.evict_stale(day - config_.window_days);
-  obs::add(evictions_c_, dropped);
-  // Dropped reservoirs may sit inside the window of a memoized older query
-  // day; recomputation is deterministic, so a blanket clear is safe.
-  if (dropped > 0) clear_memo();
+  obs::add(evictions_c_, store_.evict_stale(day - config_.window_days));
   obs::set(tracked_keys_g_, static_cast<double>(store_.tracked_keys()));
+  build_table(day);
+}
+
+void ExpectedRttLearner::freeze_day(int day) {
+  if (day != table_day_) build_table(day);
+}
+
+void ExpectedRttLearner::build_table(int day) {
+  table_.clear();
+  table_day_ = day;
+  store_.for_each_key([&](std::uint64_t key) {
+    if (const auto median = window_median(key, day)) {
+      table_[key].graded = {median, BaselineProvenance::kFresh};
+    }
+  });
+  for (const auto& [key, entry] : transfers_) patch_transfer_row(key);
+}
+
+void ExpectedRttLearner::patch_transfer_row(std::uint64_t key) {
+  DayRow& row = table_[key];
+  if (row.graded.provenance != BaselineProvenance::kFresh) {
+    row.graded = transferred(key, table_day_);
+  }
+  row.churned = churned_on(key, table_day_);
 }
 
 // Learner payload format 2: format varint, the backend varint (always 1 —
@@ -222,8 +252,8 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
   }
   store_.restore(in);  // consumes the rest of the section, expect_done'd
   transfers_ = std::move(transfers);
-  clear_memo();
   obs::set(tracked_keys_g_, static_cast<double>(store_.tracked_keys()));
+  if (table_day_ != INT_MIN) build_table(table_day_);
 }
 
 }  // namespace blameit::analysis

@@ -11,26 +11,21 @@
 // requires GLOBALLY day-ordered observations (all keys share one mutable
 // day), which is how the pipeline feeds the learner.
 //
-// The pooled median is memoized per ⟨key, query day⟩: the 14-day window only
-// changes at day rollover, yet expected() is consulted once per group per
-// 5-minute bucket, so without the memo the same pool was rebuilt and
-// re-medianed hundreds of times a day. An observation can only fall inside a
-// memoized window when the query day lies ahead of it, so observe() clears
-// the whole memo when its day is below the highest query day memoized (never
-// in the pipeline, which queries the day it observes); evict_stale() clears
-// it whenever it drops reservoirs. Both clears are safe because a cleared
-// entry is recomputed deterministically.
+// The window a query on day d pools, days [d - window, d - 1], cannot change
+// during day d: observations land on day d or later, and eviction only drops
+// days below d - window. So evict_stale(d), run before day d's first bucket,
+// ends by freezing day d's answers into a table (DESIGN §7), which
+// transfer_baseline() patches. Queries for any other day recompute.
 //
-// Threading contract: observe(), evict_stale(), save_state(), and
-// restore_state() must be externally serialized with all other calls;
-// expected() and history_size() may run concurrently with each other (the
-// parallel passive localizer does this).
+// Threading contract: expected(), expected_with_provenance() and
+// recently_churned() for the frozen day may run concurrently with each
+// other and with observe() of that day or later (the pipeline learns from a
+// bucket while it localizes it). Every other call is externally serialized.
 #pragma once
 
 #include <climits>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -83,15 +78,16 @@ struct ExpectedRttConfig {
   /// Transfers older than this many days stop being served (and are evicted)
   /// — by then the window either has real history or the path is gone.
   int transfer_max_age_days = 3;
-  /// Optional metrics sink (memoization hit/miss, evictions, tracked keys,
-  /// and the store.learner.* block/memtable/merge metrics); null = no
+  /// Optional metrics sink (day-table hits and off-day recomputes as
+  /// learner.memo_hits/memo_misses, evictions, tracked keys, and the
+  /// store.learner.* block/memtable/merge metrics); null = no
   /// instrumentation, zero overhead.
   obs::Registry* registry = nullptr;
 };
 
 /// Learns expected RTTs as the median over a sliding multi-day window of
-/// per-day reservoir samples. Deterministic given the feed order; the memo
-/// cache never changes results, only their cost.
+/// per-day reservoir samples. Deterministic given the feed order; the day
+/// table never changes results, only their cost.
 class ExpectedRttLearner {
  public:
   explicit ExpectedRttLearner(ExpectedRttConfig config = {});
@@ -101,12 +97,13 @@ class ExpectedRttLearner {
 
   /// Feeds one observation (a quartet's mean RTT) for `key` on `day`.
   /// Throws std::invalid_argument when `day` precedes the day of an earlier
-  /// observation of ANY key (globally day-ordered contract).
+  /// observation of ANY key (globally day-ordered contract). An observation
+  /// before the frozen day lands inside its window, so it drops the table.
   void observe(ExpectedRttKey key, int day, double rtt_ms);
 
   /// Median over days [day - window, day - 1]; nullopt when no history.
   /// The current day is excluded so an ongoing incident cannot teach the
-  /// learner its own inflation. O(1) when the ⟨key, day⟩ cache is warm.
+  /// learner its own inflation. One table lookup on the frozen day.
   [[nodiscard]] std::optional<double> expected(ExpectedRttKey key,
                                                int day) const;
 
@@ -115,9 +112,7 @@ class ExpectedRttLearner {
 
   /// expected() plus provenance: the key's own window median when it has
   /// one (kFresh), else a live transferred baseline with the freshness
-  /// discount applied (kTransferred), else {nullopt, kNone}. Thread-safe
-  /// like expected() — the transfer table only changes under the external
-  /// serialization contract.
+  /// discount applied (kTransferred), else {nullopt, kNone}.
   [[nodiscard]] GradedExpectation expected_with_provenance(ExpectedRttKey key,
                                                            int day) const;
 
@@ -148,26 +143,34 @@ class ExpectedRttLearner {
   /// forgets keys whose history becomes empty — otherwise churned keys (BGP
   /// paths that stop being used) would be tracked forever. Incremental: only
   /// blocks holding expired days are touched, so the cost tracks what
-  /// expires, not the total tracked-key count.
+  /// expires, not the total tracked-key count. Then freezes `day`'s table.
   void evict_stale(int day);
+
+  /// Freezes `day`'s table unless it is frozen already (a pipeline restored
+  /// mid-day has no eviction due).
+  void freeze_day(int day);
+
+  /// The day whose table is frozen; INT_MIN when there is none.
+  [[nodiscard]] int frozen_day() const noexcept { return table_day_; }
 
   /// Keys with at least one live reservoir (memory-regression observability).
   [[nodiscard]] std::size_t tracked_keys() const noexcept {
     return store_.tracked_keys();
   }
 
-  /// Writes the full reservoir state as snapshot section "learner". The memo
-  /// is not persisted (recomputation yields identical values).
+  /// Writes the full reservoir state as snapshot section "learner". The day
+  /// table is not persisted (it is recomputed from the reservoirs).
   void save_state(store::SnapshotWriter& writer) const;
-  /// Replaces the reservoir state from a snapshot. Throws store::
-  /// SnapshotError on a malformed section or one holding state of the
-  /// removed hash-map backend.
+  /// Replaces the reservoir state from a snapshot and re-freezes the frozen
+  /// day, if any, from it. Throws store::SnapshotError on a malformed
+  /// section or one holding state of the removed hash-map backend.
   void restore_state(const store::SnapshotReader& reader);
 
  private:
-  struct Memo {
-    int cache_day = INT_MIN;
-    std::optional<double> cache_value;
+  /// One key's answers for the frozen day.
+  struct DayRow {
+    GradedExpectation graded;  ///< expected_with_provenance()
+    bool churned = false;      ///< recently_churned()
   };
   /// One inherited baseline: the (undiscounted) value captured from the
   /// source at transfer time. Held OUTSIDE the reservoir store, which
@@ -182,20 +185,23 @@ class ExpectedRttLearner {
   /// the median (nth_element, no per-call allocation).
   [[nodiscard]] std::optional<double> window_median(std::uint64_t key,
                                                     int day) const;
-  /// Drops every memoized median (see the file comment for when).
-  void clear_memo();
+  /// The live transfer served on `day`, discounted; {nullopt, kNone} if none.
+  [[nodiscard]] GradedExpectation transferred(std::uint64_t key,
+                                              int day) const;
+  /// recently_churned() from the transfer side table.
+  [[nodiscard]] bool churned_on(std::uint64_t key, int day) const;
+  void build_table(int day);
+  /// Refreshes `key`'s row from transfers_; a fresh median stays.
+  void patch_transfer_row(std::uint64_t key);
 
   ExpectedRttConfig config_;
   store::ReservoirStore store_;
   /// Key → inherited baseline. std::map: deterministic iteration order makes
   /// the snapshot bytes deterministic.
   std::map<std::uint64_t, TransferEntry> transfers_;
-  mutable std::unordered_map<std::uint64_t, Memo> memo_;
-  /// Highest query day memoized since the last clear (guarded by
-  /// cache_mutex_ in expected(); observe() reads it under the external
-  /// serialization contract).
-  mutable int memo_max_day_ = INT_MIN;
-  mutable std::mutex cache_mutex_;
+  /// Key → answers for table_day_; keys without a row have none.
+  std::unordered_map<std::uint64_t, DayRow> table_;
+  int table_day_ = INT_MIN;
 
   // Instruments (null without a registry).
   obs::Counter* memo_hits_c_ = nullptr;

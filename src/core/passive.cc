@@ -1,6 +1,5 @@
 #include "core/passive.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -89,13 +88,6 @@ class FlatMap {
     return slot.key == key ? &slot.value : nullptr;
   }
 
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const Slot& slot : slots_) {
-      if (slot.key != kEmpty) f(slot.key, slot.value);
-    }
-  }
-
  private:
   struct Slot {
     Key key;
@@ -129,48 +121,6 @@ class FlatMap {
 struct GoodBlock {
   std::uint16_t location = 0;
   bool multi = false;
-
-  /// Set union, in summary form: commutative and associative, so the
-  /// cross-shard merge gives the same answer in any order.
-  void add(const GoodBlock& other) noexcept {
-    multi = multi || other.multi || other.location != location;
-  }
-  [[nodiscard]] bool good_other_than(std::uint16_t loc) const noexcept {
-    return multi || location != loc;
-  }
-};
-
-/// Pass-1 accumulator for one location shard. Group keys embed the location,
-/// so no group (and no learner key) is ever shared between shards; only the
-/// per-/24 good-location summaries need a cross-shard merge.
-struct ShardState {
-  FlatMap<std::uint64_t, std::uint32_t> group_ids;  ///< group key -> id
-  std::vector<GroupStats> groups;                   ///< by group id
-  /// Comparison RTTs by group id: the learner is consulted once per group.
-  std::vector<Comparison> comparisons;
-  FlatMap<std::uint32_t, GoodBlock> good_blocks;    ///< /24 -> summary
-
-  /// The group's dense id. A new group gets the next id and its comparison
-  /// RTT from `compare()`.
-  template <typename Compare>
-  std::uint32_t intern(std::uint64_t group, const Compare& compare) {
-    auto [id, fresh] = group_ids.try_emplace(group);
-    if (fresh) {
-      id = static_cast<std::uint32_t>(groups.size());
-      groups.emplace_back();
-      comparisons.push_back(compare());
-    }
-    return id;
-  }
-
-  void add_good(std::uint32_t block, const GoodBlock& good) {
-    auto [summary, fresh] = good_blocks.try_emplace(block);
-    if (fresh) {
-      summary = good;
-    } else {
-      summary.add(good);
-    }
-  }
 };
 
 }  // namespace
@@ -187,14 +137,7 @@ PassiveLocalizer::PassiveLocalizer(
       config_.min_group_quartets < 1) {
     throw std::invalid_argument{"BlameItConfig: invalid tau or min quartets"};
   }
-  if (config_.analytics_threads < 0) {
-    throw std::invalid_argument{"BlameItConfig: negative analytics_threads"};
-  }
-  const int threads =
-      util::ThreadPool::resolve_threads(config_.analytics_threads);
-  if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
   localize_ms_h_ = obs::histogram(registry, "passive.localize_ms");
-  shard_imbalance_g_ = obs::gauge(registry, "passive.shard_imbalance");
   for (std::size_t i = 0; i < kAllBlames.size(); ++i) {
     blame_c_[i] = obs::counter(
         registry,
@@ -223,211 +166,146 @@ std::vector<BlameResult> PassiveLocalizer::localize(
     const SteerShield* shield) const {
   const obs::ScopedTimer span{localize_ms_h_};
   const std::size_t n = quartets.size();
-  const auto nshards =
-      static_cast<std::size_t>(pool_ ? pool_->size() : 1);
   const bool shield_on = shield && !shield->empty();
   const auto shielded = [&](const analysis::Quartet& q) {
     return shield_on &&
            shield->contains(steer_shield_key(q.key.location, q.key.block));
   };
 
-  // Partition quartet indices by cloud location. Location ids are dense, so
-  // a plain modulo spreads locations round-robin across shards.
-  std::vector<std::vector<std::uint32_t>> members(nshards);
-  for (auto& m : members) m.reserve(n / nshards + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    members[quartets[i].key.location.value % nshards].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-
-  // Pass 1: per-shard group statistics against the learned expected RTTs,
-  // plus the per-/24 good-location summaries for the ambiguity rule. Each
-  // quartet's two group ids go into arrays pass 2 indexes directly; every
-  // index is written by the one shard that owns the quartet's location.
-  std::vector<ShardState> shards(nshards);
+  // Pass 1: group statistics against the learned expected RTTs, plus the
+  // per-/24 good-location summaries for the ambiguity rule. Each quartet's
+  // two group ids go into arrays pass 2 indexes directly.
+  FlatMap<std::uint64_t, std::uint32_t> group_ids;  // group key -> dense id
+  std::vector<GroupStats> groups;                   // by group id
+  std::vector<Comparison> comparisons;              // by group id
+  // Sized for every quartet being a good one on its own /24, so the per-/24
+  // table never grows inside pass 1.
+  FlatMap<std::uint32_t, GoodBlock> good_blocks{n};
   std::vector<std::uint32_t> cloud_ids(n);
   std::vector<std::uint32_t> middle_ids(n);
-  // A group's comparison RTT, fetched from the learner once per group: when
-  // pass 1 first interns it.
-  const auto compare = [&](analysis::ExpectedRttKey key,
-                           const analysis::Quartet& q) {
-    Comparison cmp;
+  // The group's dense id. A new group gets the next id and its comparison
+  // RTT: the learner is consulted only when a group is first interned.
+  const auto intern = [&](std::uint64_t group, analysis::ExpectedRttKey key,
+                          const analysis::Quartet& q) {
+    auto [id, fresh] = group_ids.try_emplace(group);
+    if (!fresh) return id;
+    id = static_cast<std::uint32_t>(groups.size());
+    groups.emplace_back();
+    Comparison& cmp = comparisons.emplace_back();
+    cmp.value = comparison_rtt(key, day, q.region, q.key.device);
     if (config_.churn_baseline_transfer) {
-      const auto graded = learner_->expected_with_provenance(key, day);
-      if (graded.value) {
-        cmp.value = *graded.value;
-        cmp.transferred = graded.provenance ==
-                          analysis::BaselineProvenance::kTransferred;
-      } else {
-        cmp.value = thresholds_.threshold(q.region, q.key.device);
-      }
+      cmp.transferred =
+          learner_->expected_with_provenance(key, day).provenance ==
+          analysis::BaselineProvenance::kTransferred;
       cmp.churned = learner_->recently_churned(key, day);
-    } else {
-      const auto learned = learner_->expected(key, day);
-      cmp.value = learned ? *learned
-                          : thresholds_.threshold(q.region, q.key.device);
     }
-    return cmp;
+    return id;
   };
-  const auto pass1 = [&](int s) {
-    auto& shard = shards[static_cast<std::size_t>(s)];
-    const auto& mine = members[static_cast<std::size_t>(s)];
-    // Sized for every quartet being a good one on its own /24, so the
-    // per-/24 table never grows inside pass 1.
-    shard.good_blocks = FlatMap<std::uint32_t, GoodBlock>{mine.size()};
-    for (const auto idx : mine) {
-      const auto& q = quartets[idx];
-      const auto cid = shard.intern(cloud_group(q), [&] {
-        return compare(analysis::cloud_key(q.key.location, q.key.device), q);
-      });
-      const auto mid = shard.intern(middle_group(q), [&] {
-        return compare(
-            analysis::middle_key(q.key.location, q.middle, q.key.device), q);
-      });
-      cloud_ids[idx] = cid;
-      middle_ids[idx] = mid;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& q = quartets[i];
+    const auto cid =
+        intern(cloud_group(q),
+               analysis::cloud_key(q.key.location, q.key.device), q);
+    const auto mid = intern(
+        middle_group(q),
+        analysis::middle_key(q.key.location, q.middle, q.key.device), q);
+    cloud_ids[i] = cid;
+    middle_ids[i] = mid;
 
-      // §4.2 subtlety: fractions count quartets, NOT RTT samples — a handful
-      // of high-volume "good" /24s must not mask widespread badness.
-      const bool cloud_bad = q.mean_rtt_ms > shard.comparisons[cid].value;
-      auto& cg = shard.groups[cid];
-      ++cg.quartets;
-      cg.bad_vs_expected += cloud_bad;
-      if (shield_on && !shielded(q)) {
-        ++cg.unshielded_quartets;
-        cg.unshielded_bad += cloud_bad;
-      }
-
-      auto& mg = shard.groups[mid];
-      ++mg.quartets;
-      mg.bad_vs_expected += q.mean_rtt_ms > shard.comparisons[mid].value;
-
-      if (!q.bad) shard.add_good(q.key.block.block, {q.key.location.value});
+    // §4.2 subtlety: fractions count quartets, NOT RTT samples — a handful
+    // of high-volume "good" /24s must not mask widespread badness.
+    const bool cloud_bad = q.mean_rtt_ms > comparisons[cid].value;
+    auto& cg = groups[cid];
+    ++cg.quartets;
+    cg.bad_vs_expected += cloud_bad;
+    if (shield_on && !shielded(q)) {
+      ++cg.unshielded_quartets;
+      cg.unshielded_bad += cloud_bad;
     }
-  };
-  if (pool_) {
-    pool_->run(static_cast<int>(nshards), pass1);
-  } else {
-    pass1(0);
-  }
 
-  // Shard imbalance: biggest shard relative to a perfect split. Persistently
-  // high values mean the location → shard modulo is clustering hot
-  // locations together and pass 1 is bottlenecked on one worker.
-  if (nshards > 1 && n > 0) {
-    std::size_t biggest = 0;
-    for (const auto& m : members) biggest = std::max(biggest, m.size());
-    obs::set_max(shard_imbalance_g_,
-                 static_cast<double>(biggest) * static_cast<double>(nshards) /
-                     static_cast<double>(n));
-  }
+    auto& mg = groups[mid];
+    ++mg.quartets;
+    mg.bad_vs_expected += q.mean_rtt_ms > comparisons[mid].value;
 
-  // Barrier: merge the per-/24 good-location summaries into shard 0's. A
-  // dual-homed /24 can be good at a location owned by another shard, and the
-  // ambiguity rule needs the global view. GoodBlock::add is a set union in
-  // summary form — order-independent, hence deterministic for any shard
-  // count.
-  auto& merged = shards[0];
-  for (std::size_t s = 1; s < nshards; ++s) {
-    const auto& shard = shards[s];
-    shard.good_blocks.for_each([&](std::uint32_t block, const GoodBlock& good) {
-      merged.add_good(block, good);
-    });
-  }
-
-  // Pass 2: hierarchical blame per bad quartet, over contiguous input chunks
-  // against the now read-only shard states. Chunk results are concatenated
-  // in chunk order, so the output sequence is the input order exactly.
-  const std::size_t nchunks = std::min<std::size_t>(nshards, n ? n : 1);
-  const std::size_t chunk_size = n ? (n + nchunks - 1) / nchunks : 0;
-  std::vector<std::vector<BlameResult>> chunks(nchunks);
-  const auto pass2 = [&](int c) {
-    auto& out = chunks[static_cast<std::size_t>(c)];
-    const std::size_t begin = static_cast<std::size_t>(c) * chunk_size;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& q = quartets[i];
-      const auto& shard = shards[q.key.location.value % nshards];
-      if (!q.bad) {
-        // §13 soft badness: a route change can move a whole middle group to
-        // a longer path whose RTT stays under the absolute region target —
-        // invisible to the per-quartet threshold, but exactly what the
-        // expectation comparison exists to catch. Only RECENTLY CHURNED
-        // groups qualify (a live churn event re-routed traffic onto this
-        // key): there, "the group crossed τ against its expectation" is a
-        // path-shaped signal corroborated by the routing plane, while the
-        // same crossing on an unchurned group can equally be a client-side
-        // fault inflating a small group (so co-group quartets must keep
-        // seed's abstain behavior). Soft-bad quartets are blamed Middle
-        // directly and never touch the cloud or client branches.
-        if (!config_.churn_baseline_transfer) continue;
-        const auto& soft_mg = shard.groups[middle_ids[i]];
-        const auto& cmp = shard.comparisons[middle_ids[i]];
-        if (!cmp.churned) continue;
-        if (soft_mg.quartets <= config_.min_group_quartets) continue;
-        if (soft_mg.bad_fraction() < config_.tau) continue;
-        if (q.mean_rtt_ms <= cmp.value) continue;
-        BlameResult result;
-        result.quartet = q;
-        result.blame = Blame::Middle;
-        result.grade = cmp.transferred ? BaselineGrade::Transferred
-                                       : BaselineGrade::Fresh;
-        out.push_back(std::move(result));
-        continue;
+    if (!q.bad) {
+      auto [good, fresh] = good_blocks.try_emplace(q.key.block.block);
+      if (fresh) {
+        good.location = q.key.location.value;
+      } else {
+        good.multi = good.multi || good.location != q.key.location.value;
       }
+    }
+  }
+
+  // Pass 2: hierarchical blame per bad quartet, in input order.
+  std::vector<BlameResult> results;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& q = quartets[i];
+    if (!q.bad) {
+      // §13 soft badness: a route change can move a whole middle group to a
+      // longer path whose RTT stays under the absolute region target —
+      // invisible to the per-quartet threshold, but exactly what the
+      // expectation comparison exists to catch. Only RECENTLY CHURNED
+      // groups qualify (a live churn event re-routed traffic onto this
+      // key): there, "the group crossed τ against its expectation" is a
+      // path-shaped signal corroborated by the routing plane, while the
+      // same crossing on an unchurned group can equally be a client-side
+      // fault inflating a small group (so co-group quartets must keep
+      // seed's abstain behavior). Soft-bad quartets are blamed Middle
+      // directly and never touch the cloud or client branches.
+      if (!config_.churn_baseline_transfer) continue;
+      const auto& soft_mg = groups[middle_ids[i]];
+      const auto& cmp = comparisons[middle_ids[i]];
+      if (!cmp.churned) continue;
+      if (soft_mg.quartets <= config_.min_group_quartets) continue;
+      if (soft_mg.bad_fraction() < config_.tau) continue;
+      if (q.mean_rtt_ms <= cmp.value) continue;
       BlameResult result;
       result.quartet = q;
-
-      const auto& cg = shard.groups[cloud_ids[i]];
-      const auto& mg = shard.groups[middle_ids[i]];
-
-      // With a steer shield active, the cloud check runs on the group's
-      // UN-shielded evidence: a destination-edge shift that is only visible
-      // through just-re-steered /24s has no corroborating cloud-side signal
-      // and must fall through to the middle checks. Groups untouched by the
-      // shield have unshielded == full counters, so this is the original
-      // rule for them; with the shield off it is the original rule for all.
-      const bool cloud_blamed =
-          shield_on ? (cg.unshielded_quartets > config_.min_group_quartets &&
-                       cg.unshielded_fraction() >= config_.tau)
-                    : cg.bad_fraction() >= config_.tau;
-      if (cg.quartets <= config_.min_group_quartets) {
-        result.blame = Blame::Insufficient;
-      } else if (cloud_blamed) {
-        result.blame = Blame::Cloud;
-        result.faulty_as = topology_->cloud_as();
-      } else if (mg.quartets <= config_.min_group_quartets) {
-        result.blame = Blame::Insufficient;
-      } else if (mg.bad_fraction() >= config_.tau) {
-        result.blame = Blame::Middle;  // active phase refines to an AS
-        result.grade = shard.comparisons[middle_ids[i]].transferred
-                           ? BaselineGrade::Transferred
-                           : BaselineGrade::Fresh;
-      } else {
-        const auto* good = merged.good_blocks.find(q.key.block.block);
-        if (good && good->good_other_than(q.key.location.value)) {
-          result.blame = Blame::Ambiguous;
-        } else {
-          result.blame = Blame::Client;
-          result.faulty_as = q.client_as;
-        }
-      }
-      out.push_back(std::move(result));
+      result.blame = Blame::Middle;
+      result.grade = cmp.transferred ? BaselineGrade::Transferred
+                                     : BaselineGrade::Fresh;
+      results.push_back(std::move(result));
+      continue;
     }
-  };
-  if (pool_) {
-    pool_->run(static_cast<int>(nchunks), pass2);
-  } else {
-    pass2(0);
-  }
+    BlameResult result;
+    result.quartet = q;
 
-  std::size_t total = 0;
-  for (const auto& c : chunks) total += c.size();
-  std::vector<BlameResult> results;
-  results.reserve(total);
-  for (auto& c : chunks) {
-    results.insert(results.end(), std::make_move_iterator(c.begin()),
-                   std::make_move_iterator(c.end()));
+    const auto& cg = groups[cloud_ids[i]];
+    const auto& mg = groups[middle_ids[i]];
+
+    // With a steer shield active, the cloud check runs on the group's
+    // UN-shielded evidence: a destination-edge shift that is only visible
+    // through just-re-steered /24s has no corroborating cloud-side signal
+    // and must fall through to the middle checks. Groups untouched by the
+    // shield have unshielded == full counters, so this is the original
+    // rule for them; with the shield off it is the original rule for all.
+    const bool cloud_blamed =
+        shield_on ? (cg.unshielded_quartets > config_.min_group_quartets &&
+                     cg.unshielded_fraction() >= config_.tau)
+                  : cg.bad_fraction() >= config_.tau;
+    if (cg.quartets <= config_.min_group_quartets) {
+      result.blame = Blame::Insufficient;
+    } else if (cloud_blamed) {
+      result.blame = Blame::Cloud;
+      result.faulty_as = topology_->cloud_as();
+    } else if (mg.quartets <= config_.min_group_quartets) {
+      result.blame = Blame::Insufficient;
+    } else if (mg.bad_fraction() >= config_.tau) {
+      result.blame = Blame::Middle;  // active phase refines to an AS
+      result.grade = comparisons[middle_ids[i]].transferred
+                         ? BaselineGrade::Transferred
+                         : BaselineGrade::Fresh;
+    } else {
+      const auto* good = good_blocks.find(q.key.block.block);
+      if (good && (good->multi || good->location != q.key.location.value)) {
+        result.blame = Blame::Ambiguous;
+      } else {
+        result.blame = Blame::Client;
+        result.faulty_as = q.client_as;
+      }
+    }
+    results.push_back(std::move(result));
   }
   if (blame_c_[0]) {
     for (const auto& r : results) {

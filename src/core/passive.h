@@ -7,32 +7,24 @@
 // location. Bad fractions compare against the *learned* expected RTTs
 // (14-day medians), not the badness thresholds — §4.3 explains why.
 //
-// Parallel design (config.analytics_threads > 1): quartets are partitioned
-// by cloud location across a util::ThreadPool.
-//   Pass 1 — each shard interns its locations' cloud/middle groups into
-//     dense ids (one flat open-addressing table; stats and comparison RTTs
-//     live in vectors indexed by id) and records each quartet's two ids for
-//     pass 2. It also summarizes, per /24, where good quartets were seen:
-//     the first location plus a "seen at another location too" bit. Every
-//     learner key embeds the location, so shards never touch the same
-//     group; the per-/24 summaries DO cross shards (dual-homed blocks) and
-//     are merged after the barrier — a set union in summary form,
-//     order-independent.
-//   Pass 2 — contiguous input chunks are blamed in parallel against the
-//     read-only merged state and concatenated in chunk order, so results
-//     come out in input order.
-// Every per-quartet decision is a pure function of ⟨group stats, merged
-// good-location summaries, learner medians⟩, none of which depend on
-// execution order, so N-thread output is bit-identical to the serial path
-// (asserted in tests, along with equality to a map-and-set oracle).
+// Two passes over the bucket, serial. Pass 1 interns each quartet's cloud
+// and middle groups into dense ids (one flat open-addressing table; stats
+// and comparison RTTs live in vectors indexed by id, so the learner is
+// consulted only for a new group) and summarizes, per /24, where good quartets
+// were seen: the first location plus a "seen at another location too" bit.
+// Pass 2 blames each bad quartet against those tables, in input order.
+// Every decision is a pure function of ⟨group stats, good-location
+// summaries, learner medians⟩, which a map-and-set oracle checks in tests.
+//
+// The learner's reads here are the frozen day's table lookups, so the
+// pipeline can run localize() while it learns from the same bucket on
+// another thread (DESIGN §7).
 #pragma once
 
-#include <memory>
+#include <array>
 #include <span>
 #include <unordered_set>
 #include <vector>
-
-#include <array>
 
 #include "analysis/expected_rtt.h"
 #include "analysis/quartet.h"
@@ -40,7 +32,6 @@
 #include "core/config.h"
 #include "net/topology.h"
 #include "obs/registry.h"
-#include "util/thread_pool.h"
 
 namespace blameit::core {
 
@@ -65,8 +56,8 @@ class PassiveLocalizer {
 
   /// Runs Algorithm 1 over one bucket's quartets (good and bad; the good
   /// ones shape the group fractions and the ambiguity signal). Returns one
-  /// BlameResult per *bad* quartet, in input order regardless of thread
-  /// count. `day` selects the learner's history window. A non-empty
+  /// BlameResult per *bad* quartet, in input order. `day` selects the
+  /// learner's history window. A non-empty
   /// `shield` makes Cloud blame for shielded ⟨location, /24⟩ quartets
   /// require corroboration from the location's UN-shielded quartets (§13's
   /// re-steer rule); un-shielded quartets of an affected group likewise
@@ -77,7 +68,7 @@ class PassiveLocalizer {
 
   /// The comparison value used for group bad-fractions: the learned expected
   /// RTT when history exists, else the badness threshold (bootstrap
-  /// fallback). Exposed for tests and the ablation bench.
+  /// fallback). Pass 1 uses it; exposed for tests and the ablation bench.
   [[nodiscard]] double comparison_rtt(analysis::ExpectedRttKey key, int day,
                                       net::Region region,
                                       net::DeviceClass device) const;
@@ -86,23 +77,14 @@ class PassiveLocalizer {
     return config_;
   }
 
-  /// Parallelism localize() actually runs with (resolved from the knob).
-  [[nodiscard]] int threads() const noexcept {
-    return pool_ ? pool_->size() : 1;
-  }
-
  private:
   const net::Topology* topology_;
   const analysis::ExpectedRttLearner* learner_;
   BlameItConfig config_;
   analysis::BadnessThresholds thresholds_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< null when serial
 
-  // Instruments (null without a registry). Blame counters are bumped after
-  // the parallel passes finish, from the merged result list, so the
-  // registry never participates in the parallel section's determinism.
+  // Instruments (null without a registry).
   obs::Histogram* localize_ms_h_ = nullptr;
-  obs::Gauge* shard_imbalance_g_ = nullptr;
   std::array<obs::Counter*, kAllBlames.size()> blame_c_{};
 };
 

@@ -1,12 +1,70 @@
 #include "core/pipeline.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <climits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace blameit::core {
+
+namespace detail {
+
+LearnHelper::LearnHelper(std::vector<int> cpus)
+    : cpus_(std::move(cpus)), thread_([this] {
+        for (posted_.acquire(); job_; posted_.acquire()) {
+          try {
+            job_();
+          } catch (...) {
+            error_ = std::current_exception();
+          }
+          done_.release();
+        }
+      }) {}
+
+LearnHelper::~LearnHelper() {
+  job_ = nullptr;
+  posted_.release();
+  thread_.join();
+}
+
+std::vector<int> LearnHelper::allowed_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+void LearnHelper::post(std::function<void()> job) {
+  // A woken thread tends to be placed on its waker's CPU, where it waits
+  // until the waker blocks; without this the two halves of the step mostly
+  // ran one after the other on one CPU.
+  const int poster_cpu = sched_getcpu();
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int cpu : cpus_) {
+    if (cpu != poster_cpu) CPU_SET(cpu, &set);
+  }
+  // Best effort: if the mask is refused, only placement suffers.
+  (void)pthread_setaffinity_np(thread_.native_handle(), sizeof set, &set);
+  job_ = std::move(job);
+  posted_.release();
+}
+
+std::exception_ptr LearnHelper::join() {
+  done_.acquire();
+  return std::exchange(error_, nullptr);
+}
+
+}  // namespace detail
 
 BlameItPipeline::BlameItPipeline(const net::Topology* topology,
                                  sim::TracerouteEngine* engine,
@@ -32,11 +90,21 @@ BlameItPipeline::BlameItPipeline(const net::Topology* topology,
       config_.probe_budget_per_run < 0) {
     throw std::invalid_argument{"BlameItConfig: invalid cadence or budget"};
   }
-  // analytics_threads is validated (and the worker pool owned) by passive_;
-  // learning stays serial on purpose — reservoir sampling is order-
-  // sensitive, and localize() dominates the step cost.
+  if (config_.analytics_threads != 1 && config_.analytics_threads != 2) {
+    throw std::invalid_argument{
+        "BlameItConfig: analytics_threads must be 1 (serial) or 2 (learn "
+        "beside localize), got " +
+        std::to_string(config_.analytics_threads)};
+  }
+  if (config_.analytics_threads == 2) {
+    auto cpus = detail::LearnHelper::allowed_cpus();
+    if (cpus.size() >= 2) {
+      helper_ = std::make_unique<detail::LearnHelper>(std::move(cpus));
+    }
+  }
   source_ms_h_ = obs::histogram(registry, "step.source_ms");
   learn_ms_h_ = obs::histogram(registry, "step.learn_ms");
+  learn_busy_ms_h_ = obs::histogram(registry, "step.learn_busy_ms");
   localize_ms_h_ = obs::histogram(registry, "step.localize_ms");
   active_ms_h_ = obs::histogram(registry, "step.active_ms");
   background_ms_h_ = obs::histogram(registry, "step.background_ms");
@@ -250,14 +318,68 @@ void BlameItPipeline::learn_from(
   for (const auto& [key, volume] : users) {
     clients_.observe(key, bucket, volume);
   }
+}
+
+void BlameItPipeline::start_day(int day) {
   if (day != last_evict_day_) {
-    learner_.evict_stale(day);
+    learner_.evict_stale(day);  // ends by freezing the day's table
     clients_.evict_stale(day);
     last_evict_day_ = day;
   }
+  learner_.freeze_day(day);  // a no-op unless restored mid-day
+}
+
+std::vector<BlameResult> BlameItPipeline::learn_and_localize(
+    const std::vector<analysis::Quartet>& quartets, util::TimeBucket bucket,
+    StepReport::StageTimings& stages) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double, std::milli>(to - from).count();
+  };
+  const auto learn = [&] {
+    const obs::ScopedTimer busy_span{learn_busy_ms_h_};
+    learn_from(quartets, bucket);
+  };
+
+  const auto t0 = Clock::now();
+  start_day(bucket.day());
+  if (helper_) {
+    helper_->post(learn);
+  } else {
+    learn();
+  }
+  const auto t1 = Clock::now();
+  // localize() reads only the frozen day table, which learning never
+  // writes: learning adds day d's samples, outside its window. An error
+  // waits for the join, since the job reads `quartets`.
+  std::vector<BlameResult> blames;
+  std::exception_ptr error;
+  try {
+    const SteerShield shield =
+        config_.churn_steer_shield ? build_shield(bucket) : SteerShield{};
+    blames = passive_.localize(quartets, bucket.day(),
+                               shield.empty() ? nullptr : &shield);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  const auto t2 = Clock::now();
+  if (helper_) {
+    if (auto learn_error = helper_->join(); !error) error = learn_error;
+  }
+  if (error) std::rethrow_exception(error);
+  const auto t3 = Clock::now();
+
+  const double learn_ms = ms(t0, t1) + ms(t2, t3);
+  const double localize_ms = ms(t1, t2);
+  stages.learn_ms += learn_ms;
+  stages.localize_ms += localize_ms;
+  obs::record(learn_ms_h_, learn_ms);
+  obs::record(localize_ms_h_, localize_ms);
+  return blames;
 }
 
 void BlameItPipeline::warmup_bucket(util::TimeBucket bucket) {
+  start_day(bucket.day());
   learn_from(source_(bucket), bucket);
   if (bucket >= next_bucket_) {
     next_bucket_ = bucket.next();
@@ -298,23 +420,8 @@ StepReport BlameItPipeline::step(util::MinuteTime now) {
                                          &report.stages.source_ms};
       quartets = source_(bucket);
     }
-    {
-      const obs::ScopedTimer learn_span{learn_ms_h_,
-                                        &report.stages.learn_ms};
-      learn_from(quartets, bucket);
-    }
-    std::vector<BlameResult> blames;
-    {
-      const obs::ScopedTimer localize_span{localize_ms_h_,
-                                           &report.stages.localize_ms};
-      if (config_.churn_steer_shield) {
-        const SteerShield shield = build_shield(bucket);
-        blames = passive_.localize(quartets, bucket.day(),
-                                   shield.empty() ? nullptr : &shield);
-      } else {
-        blames = passive_.localize(quartets, bucket.day());
-      }
-    }
+    std::vector<BlameResult> blames =
+        learn_and_localize(quartets, bucket, report.stages);
 
     // Middle-issue run tracking for the duration predictor.
     std::unordered_map<std::uint64_t, bool> bad_now;

@@ -5,7 +5,11 @@
 #pragma once
 
 #include <array>
+#include <exception>
 #include <functional>
+#include <memory>
+#include <semaphore>
+#include <thread>
 #include <vector>
 
 #include "analysis/expected_rtt.h"
@@ -24,15 +28,56 @@
 
 namespace blameit::core {
 
+namespace detail {
+
+/// The thread an overlapped step learns on (DESIGN §7), parked between
+/// buckets. Each post() first narrows its affinity to the given CPUs minus
+/// the one the poster is running on, so the woken helper cannot queue
+/// behind the poster on that CPU.
+class LearnHelper {
+ public:
+  /// Starts the parked thread; `cpus` are the CPUs its jobs may run on.
+  explicit LearnHelper(std::vector<int> cpus);
+  /// Stops the thread. A posted job must have been joined.
+  ~LearnHelper();
+  LearnHelper(const LearnHelper&) = delete;
+  LearnHelper& operator=(const LearnHelper&) = delete;
+
+  /// Runs `job` on the helper. One job at a time: join() before the next.
+  void post(std::function<void()> job);
+  /// Waits for the posted job; returns what it threw, if anything.
+  [[nodiscard]] std::exception_ptr join();
+
+  /// The helper thread (tests read its affinity).
+  [[nodiscard]] std::thread::native_handle_type native_handle() {
+    return thread_.native_handle();
+  }
+
+  /// CPUs the calling thread may run on.
+  [[nodiscard]] static std::vector<int> allowed_cpus();
+
+ private:
+  std::vector<int> cpus_;
+  std::function<void()> job_;  ///< empty: stop
+  std::exception_ptr error_;
+  std::binary_semaphore posted_{0};
+  std::binary_semaphore done_{0};
+  std::thread thread_;
+};
+
+}  // namespace detail
+
 /// Everything one pipeline step produced; benches and the ops alerting layer
 /// consume this.
 struct StepReport {
-  /// Wall time each stage of this step spent, in milliseconds. Filled on
-  /// every step (a handful of clock reads); mirrored into the registry's
-  /// step.*_ms histograms when one is attached.
+  /// Wall time each stage of this step spent on the step thread, in
+  /// milliseconds. Filled on every step (a handful of clock reads); mirrored
+  /// into the registry's step.*_ms histograms when one is attached.
   struct StageTimings {
     double source_ms = 0.0;      ///< QuartetSource calls (ingest drain/take)
-    double learn_ms = 0.0;       ///< expected-RTT + predictor learning
+    /// Day start and learning; when learning overlaps localize, the day
+    /// start and the join's wait (learning's own time: step.learn_busy_ms).
+    double learn_ms = 0.0;
     double localize_ms = 0.0;    ///< Algorithm 1 across the step's buckets
     double active_ms = 0.0;      ///< ranking + on-demand traceroutes
     double background_ms = 0.0;  ///< periodic/churn baseline probes
@@ -74,7 +119,8 @@ class BlameItPipeline {
 
   /// `registry`, when given, receives metrics from every layer the pipeline
   /// owns (learner, passive localizer, probers, per-stage step spans); null
-  /// keeps the uninstrumented zero-overhead path.
+  /// keeps the uninstrumented zero-overhead path. Throws
+  /// std::invalid_argument for an invalid config, naming the field.
   BlameItPipeline(const net::Topology* topology,
                   sim::TracerouteEngine* engine, QuartetSource source,
                   BlameItConfig config = {}, obs::Registry* registry = nullptr);
@@ -130,8 +176,18 @@ class BlameItPipeline {
   void restore_snapshot(const store::SnapshotReader& reader);
 
  private:
+  /// Evicts stale learner and client state once per day, then makes sure
+  /// the learner has `day`'s expectation table frozen.
+  void start_day(int day);
+
   void learn_from(const std::vector<analysis::Quartet>& quartets,
                   util::TimeBucket bucket);
+
+  /// Learns from one bucket and runs Algorithm 1 on it: beside each other
+  /// on the helper and this thread when there is one, else back to back.
+  std::vector<BlameResult> learn_and_localize(
+      const std::vector<analysis::Quartet>& quartets, util::TimeBucket bucket,
+      StepReport::StageTimings& stages);
 
   /// Consumes churn-feed events up to `upto` (exclusive), advancing
   /// `cursor`: PathChange events drive baseline transfers (§13), SteerShift
@@ -182,6 +238,7 @@ class BlameItPipeline {
   // Instruments (null without a registry).
   obs::Histogram* source_ms_h_ = nullptr;
   obs::Histogram* learn_ms_h_ = nullptr;
+  obs::Histogram* learn_busy_ms_h_ = nullptr;
   obs::Histogram* localize_ms_h_ = nullptr;
   obs::Histogram* active_ms_h_ = nullptr;
   obs::Histogram* background_ms_h_ = nullptr;
@@ -197,6 +254,10 @@ class BlameItPipeline {
   obs::Counter* churn_transfers_c_ = nullptr;
   obs::Counter* steer_shields_c_ = nullptr;
   obs::Counter* cold_backfills_c_ = nullptr;
+
+  /// Runs learn_from() beside localize; null when the step is serial.
+  /// Declared last so it stops before anything its jobs touch is destroyed.
+  std::unique_ptr<detail::LearnHelper> helper_;
 };
 
 }  // namespace blameit::core

@@ -234,7 +234,7 @@ void parse_pipeline(const Ctx& ctx, const Value& v, const std::string& path,
       field = ctx.want_bool(*m, path + "." + std::string{key});
     }
   };
-  opt_int("analytics_threads", out.analytics_threads, 0, 64);
+  opt_int("analytics_threads", out.analytics_threads, 1, 2);
   opt_int("expected_rtt_window_days", out.expected_rtt_window_days, 1, 30);
   opt_int("probe_budget_per_run", out.probe_budget_per_run, 0, 1000);
   opt_int("active_quorum_k", out.active_quorum_k, 1, 9);

@@ -37,10 +37,6 @@ ReservoirStore::ReservoirStore(ReservoirStoreConfig config)
   merge_ms_h_ = obs::histogram(config_.registry, p + ".merge_ms");
 }
 
-ReservoirStore::~ReservoirStore() {
-  if (pending_merge_.valid()) pending_merge_.wait();
-}
-
 void ReservoirStore::observe(std::uint64_t key, int day, double rtt_ms) {
   if (day < 0 || rtt_ms < 0.0) {
     throw std::invalid_argument{"ReservoirStore: negative day or RTT"};
@@ -79,7 +75,6 @@ void ReservoirStore::observe(std::uint64_t key, int day, double rtt_ms) {
 }
 
 void ReservoirStore::freeze_memtable() {
-  integrate_merge(/*wait=*/false);
   if (memtable_.empty()) return;
 
   auto block = std::make_shared<ReservoirBlock>();
@@ -105,59 +100,18 @@ void ReservoirStore::freeze_memtable() {
   blocks_.push_back(std::move(block));
   memtable_.clear();
   memtable_samples_ = 0;
-  maybe_start_merge();
+  maybe_merge();
   refresh_gauges();
 }
 
-void ReservoirStore::maybe_start_merge() {
+void ReservoirStore::maybe_merge() {
   if (blocks_.size() <= static_cast<std::size_t>(config_.max_blocks)) return;
-  if (pending_merge_.valid()) return;  // one merge in flight at a time
-
-  std::vector<std::shared_ptr<const ReservoirBlock>> inputs = blocks_;
-  if (!config_.background_merge) {
-    const auto merged = merge_blocks(inputs);
-    blocks_.assign(1, merged);
-    obs::add(merges_c_);
-    return;
-  }
-  pending_merge_ = std::async(
-      std::launch::async, [inputs = std::move(inputs)]() mutable {
-        const auto start = std::chrono::steady_clock::now();
-        MergeResult result;
-        result.merged = merge_blocks(inputs);
-        result.inputs = std::move(inputs);
-        result.elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        return result;
-      });
-}
-
-void ReservoirStore::integrate_merge(bool wait) {
-  if (!pending_merge_.valid()) return;
-  if (!wait && pending_merge_.wait_for(std::chrono::seconds{0}) !=
-                   std::future_status::ready) {
-    return;
-  }
-  MergeResult result = pending_merge_.get();
-  obs::record(merge_ms_h_, result.elapsed_ms);
-  // Valid only if the inputs are still exactly the block-list prefix —
-  // eviction may have dropped or rewritten one, in which case the merged
-  // run contains rows that no longer exist.
-  if (blocks_.size() < result.inputs.size()) return;
-  for (std::size_t i = 0; i < result.inputs.size(); ++i) {
-    if (blocks_[i] != result.inputs[i]) return;
-  }
-  blocks_.erase(blocks_.begin(),
-                blocks_.begin() +
-                    static_cast<std::ptrdiff_t>(result.inputs.size()));
-  blocks_.insert(blocks_.begin(), result.merged);
+  const auto start = std::chrono::steady_clock::now();
+  blocks_.assign(1, merge_blocks(blocks_));
+  obs::record(merge_ms_h_, std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
   obs::add(merges_c_);
-  refresh_gauges();
-}
-
-void ReservoirStore::flush_merges() {
-  integrate_merge(/*wait=*/true);
 }
 
 std::shared_ptr<const ReservoirBlock> ReservoirStore::merge_blocks(
@@ -230,7 +184,6 @@ void ReservoirStore::drop_block_rows(const ReservoirBlock& block,
 }
 
 std::size_t ReservoirStore::evict_stale(int cutoff_day) {
-  integrate_merge(/*wait=*/false);
   std::size_t dropped = 0;
 
   std::vector<std::shared_ptr<const ReservoirBlock>> kept;
@@ -422,8 +375,6 @@ void ReservoirStore::save(std::string& out) const {
 }
 
 void ReservoirStore::restore(ByteReader& in) {
-  if (pending_merge_.valid()) pending_merge_.get();  // discard stale merge
-
   const std::uint64_t format = in.varint();
   if (format != 1) {
     in.fail("unsupported reservoir payload format " + std::to_string(format));

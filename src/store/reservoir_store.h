@@ -5,7 +5,7 @@
 //                    │ day rollover: freeze into a sorted immutable block
 //                    ▼
 //   blocks_  = [ merged block (days a..b) | day block | day block | ... ]
-//                    │ count > max_blocks: background merge into one run
+//                    │ count > max_blocks: merge into one run, inline
 //                    ▼
 //   evict_stale() drops/rewrites whole blocks (rows older than the window)
 //
@@ -19,16 +19,12 @@
 //
 // Input contract: observations must be GLOBALLY day-ordered (all keys share
 // one mutable day), which is how the pipeline feeds it. Mutations
-// (observe/evict/restore) must be externally
-// serialized with all other calls; reads may run concurrently with each
-// other. The background merge thread only ever reads shared_ptr-held
-// immutable blocks; its result is integrated on the owner thread at the
-// next mutation point and discarded if eviction touched an input block.
+// (observe/evict/restore) must be externally serialized with all other
+// calls; reads may run concurrently with each other. Merges run inline.
 #pragma once
 
 #include <climits>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -44,10 +40,6 @@ struct ReservoirStoreConfig {
   /// Merge all immutable blocks into one sorted run once more than this
   /// many accumulate (bounds read fan-out and per-block overhead).
   int max_blocks = 8;
-  /// Run merges on a detached worker; the result lands at the next
-  /// mutation. Off = merge inline at the trigger point. Either way the
-  /// merged CONTENT — and every read — is identical; only timing differs.
-  bool background_merge = true;
   /// Instrument name prefix (`<prefix>.memtable_bytes` etc.).
   std::string metric_prefix = "store";
   obs::Registry* registry = nullptr;
@@ -70,7 +62,6 @@ struct ReservoirBlock {
 class ReservoirStore {
  public:
   explicit ReservoirStore(ReservoirStoreConfig config = {});
-  ~ReservoirStore();
 
   ReservoirStore(const ReservoirStore&) = delete;
   ReservoirStore& operator=(const ReservoirStore&) = delete;
@@ -100,6 +91,12 @@ class ReservoirStore {
     return meta_.size();
   }
 
+  /// Calls f(key) for each key with a live row, in no particular order.
+  template <typename F>
+  void for_each_key(F&& f) const {
+    for (const auto& [key, rows] : meta_) f(key);
+  }
+
   // Introspection (tests, bench).
   [[nodiscard]] std::size_t block_count() const noexcept {
     return blocks_.size();
@@ -109,10 +106,6 @@ class ReservoirStore {
     return memtable_.size();
   }
   [[nodiscard]] std::size_t approx_bytes() const;
-
-  /// Blocks until any in-flight background merge has been integrated (or
-  /// discarded). Mutation call — externally serialize like observe().
-  void flush_merges();
 
   /// Serializes the full logical state into `out` in a block-structure-
   /// independent normal form (globally ⟨key, day⟩-sorted frozen rows +
@@ -129,17 +122,9 @@ class ReservoirStore {
     std::uint64_t seen = 0;
     std::vector<double> sample;
   };
-  struct MergeResult {
-    std::vector<std::shared_ptr<const ReservoirBlock>> inputs;
-    std::shared_ptr<const ReservoirBlock> merged;
-    double elapsed_ms = 0.0;
-  };
-
   void freeze_memtable();
-  void maybe_start_merge();
-  /// Integrates a finished merge if its inputs are still the block-list
-  /// prefix; discards it otherwise (eviction rewrote an input).
-  void integrate_merge(bool wait);
+  /// Merges the whole block list into one run once it exceeds max_blocks.
+  void maybe_merge();
   void drop_block_rows(const ReservoirBlock& block, int cutoff_day,
                        std::size_t* dropped);
   void note_row_removed(std::uint64_t key);
@@ -154,7 +139,6 @@ class ReservoirStore {
   std::size_t memtable_samples_ = 0;  // Σ sample.size(), for the bytes gauge
   std::vector<std::shared_ptr<const ReservoirBlock>> blocks_;
   std::unordered_map<std::uint64_t, std::uint32_t> meta_;  // key -> live rows
-  std::future<MergeResult> pending_merge_;
 
   obs::Gauge* memtable_bytes_g_ = nullptr;
   obs::Gauge* block_count_g_ = nullptr;

@@ -1,9 +1,9 @@
-// Fixed-size worker pool for the analytics hot paths. The design goal is
+// Fixed-size worker pool (the HTTP server's workers). The design goal is
 // deterministic fork/join parallelism — run(jobs, fn) executes fn(0..jobs-1)
 // exactly once each and blocks until all finish — NOT a general task queue.
 // Callers own the determinism argument: jobs must not depend on execution
-// order (the passive localizer shards by cloud location so every job touches
-// disjoint state, then merges in a fixed order).
+// order. A woken worker tends to start on the caller's CPU, so short jobs
+// mostly run on the caller itself (DESIGN §7).
 //
 // The calling thread participates in the work, so ThreadPool{n} gives n-way
 // parallelism with n-1 spawned threads; ThreadPool{1} spawns nothing and

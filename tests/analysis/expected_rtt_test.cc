@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/stats.h"
@@ -184,12 +186,13 @@ TEST(ExpectedRttLearner, ReservoirKeepsRepresentativeMedian) {
 TEST(ExpectedRttLearner, CacheInvalidatedAtDayRollover) {
   ExpectedRttLearner learner;
   for (int i = 0; i < 20; ++i) learner.observe(kKey, 0, 10.0);
-  // Prime the ⟨key, day 1⟩ cache.
+  learner.evict_stale(1);  // freezes day 1's table
   EXPECT_DOUBLE_EQ(learner.expected(kKey, 1).value(), 10.0);
-  EXPECT_DOUBLE_EQ(learner.expected(kKey, 1).value(), 10.0);  // cached
-  // Day rolls over: new observations land on day 1, queries move to day 2;
-  // a stale cache would keep answering 10.
+  // Day 1's observations fall outside day 1's window, so its table holds...
   for (int i = 0; i < 1000; ++i) learner.observe(kKey, 1, 100.0);
+  EXPECT_DOUBLE_EQ(learner.expected(kKey, 1).value(), 10.0);
+  // ...and day 2's table, frozen at rollover, includes them.
+  learner.evict_stale(2);
   const auto expected = learner.expected(kKey, 2);
   ASSERT_TRUE(expected.has_value());
   EXPECT_GT(*expected, 50.0);  // pooled over both days, dominated by day 1
@@ -203,10 +206,13 @@ TEST(ExpectedRttLearner, CacheInvalidatedByEvictStale) {
   ExpectedRttLearner learner{cfg};
   learner.observe(kKey, 0, 10.0);
   learner.observe(kKey, 6, 20.0);
-  // Prime the cache for query day 2 (sees only day 0).
+  // Day 2's table sees only day 0.
+  learner.freeze_day(2);
   EXPECT_DOUBLE_EQ(learner.expected(kKey, 2).value(), 10.0);
-  // Evicting day 0 must flush that cached value, not serve it stale.
+  // Evicting day 0 replaces that table, so day 2 is recomputed, not served
+  // stale.
   learner.evict_stale(6);
+  EXPECT_EQ(learner.frozen_day(), 6);
   EXPECT_FALSE(learner.expected(kKey, 2).has_value());
   EXPECT_DOUBLE_EQ(learner.expected(kKey, 7).value(), 20.0);
 }
@@ -216,8 +222,10 @@ TEST(ExpectedRttLearner, MemoizationDoesNotChangeResults) {
   Oracle oracle{ExpectedRttConfig{}};
   util::Rng rng{11};
   for (int day = 0; day < 6; ++day) {
-    // Before the day's observations every query up to `day` is a memo hit
-    // from the previous day's pass; after them, `day + 1` is recomputed.
+    // Each day's table is frozen before its observations: queries for
+    // `day` read it, every other day recomputes.
+    learner.evict_stale(day);
+    oracle.evict_stale(day);
     expect_matches(learner, oracle, {kKey}, day);
     for (int i = 0; i < 400; ++i) {  // overflows the reservoir too
       const double rtt = rng.uniform(20.0, 90.0);
@@ -236,11 +244,13 @@ TEST(ExpectedRttLearner, ObserveInsideCachedWindowInvalidates) {
     oracle.observe(kKey, day, rtt);
   };
   observe(0, 10.0);
-  EXPECT_DOUBLE_EQ(learner.expected(kKey, 3).value(), 10.0);  // memoized
-  // Days 1-2 land inside the memoized day-3 window: serving the memo would
+  learner.freeze_day(3);
+  EXPECT_DOUBLE_EQ(learner.expected(kKey, 3).value(), 10.0);  // the table
+  // Days 1-2 land inside the frozen day-3 window: serving the table would
   // still answer 10.
   observe(1, 50.0);
   observe(2, 90.0);
+  EXPECT_NE(learner.frozen_day(), 3);
   EXPECT_EQ(learner.expected(kKey, 3), oracle.expected(kKey, 3));
   EXPECT_DOUBLE_EQ(learner.expected(kKey, 3).value(), 50.0);
 }
@@ -414,6 +424,100 @@ TEST(ExpectedRttOracle, SaveRestoreContinuesLikeOracle) {
     }
   }
   expect_matches(restored, oracle, kFeedKeys, 22);
+}
+
+const auto kCold =
+    middle_key(net::CloudLocationId{7}, net::MiddleSegmentId{99},
+               net::DeviceClass::NonMobile);
+
+/// A fresh learner restored from `learner`'s state has no table, so it
+/// answers every day by recomputation.
+std::unique_ptr<ExpectedRttLearner> recomputing_copy(
+    const ExpectedRttLearner& learner) {
+  store::SnapshotWriter writer;
+  learner.save_state(writer);
+  auto copy = std::make_unique<ExpectedRttLearner>(small_config());
+  copy->restore_state(
+      store::SnapshotReader::from_bytes(writer.serialize(), "<copy>"));
+  return copy;
+}
+
+/// The frozen `day` answers every key from its table — memo_misses does not
+/// move — with the oracle's window median, and with the transfer answers a
+/// recomputing copy gives.
+void expect_table_matches(const ExpectedRttLearner& learner,
+                          const obs::Registry& registry, const Oracle& oracle,
+                          int day) {
+  ASSERT_EQ(learner.frozen_day(), day);
+  const auto recomputed = recomputing_copy(learner);
+  const auto misses = registry.snapshot().counter_value("learner.memo_misses");
+  std::vector<ExpectedRttKey> keys = kFeedKeys;
+  keys.push_back(kCold);
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_EQ(learner.expected(keys[k], day), oracle.expected(keys[k], day))
+        << "key " << k << " day " << day;
+    const auto graded = learner.expected_with_provenance(keys[k], day);
+    const auto want = recomputed->expected_with_provenance(keys[k], day);
+    EXPECT_EQ(graded.value, want.value) << "key " << k << " day " << day;
+    EXPECT_EQ(graded.provenance, want.provenance)
+        << "key " << k << " day " << day;
+    EXPECT_EQ(learner.recently_churned(keys[k], day),
+              recomputed->recently_churned(keys[k], day))
+        << "key " << k << " day " << day;
+  }
+  EXPECT_EQ(registry.snapshot().counter_value("learner.memo_misses"), misses);
+}
+
+TEST(ExpectedRttOracle, DayTableMatchesWindowMedian) {
+  obs::Registry registry;
+  ExpectedRttConfig cfg = small_config();
+  cfg.registry = &registry;
+  ExpectedRttLearner learner{cfg};
+  Oracle oracle{small_config()};
+  const auto feed = [&](int day, int first, int last) {
+    for (std::size_t k = 0; k < kFeedKeys.size(); ++k) {
+      for (int s = first; s < last; ++s) {
+        const double rtt = 30.0 + k * 7 + day * 0.25 + s * 0.125;
+        learner.observe(kFeedKeys[k], day, rtt);
+        oracle.observe(kFeedKeys[k], day, rtt);
+      }
+    }
+  };
+  std::string day12;
+  Oracle oracle12 = oracle;
+  for (int day = 0; day < 20; ++day) {
+    // Half the day's samples first, so the table is frozen with part of
+    // the day already stored — which its window must leave out.
+    if (day != 7) feed(day, 0, 6);
+    learner.evict_stale(day);
+    oracle.evict_stale(day);
+    expect_table_matches(learner, registry, oracle, day);
+    if (day % 4 == 1) {
+      // A mid-day transfer onto a key with no history: served at once.
+      ASSERT_TRUE(learner.transfer_baseline(kFeedKeys[day % 3], kCold, day));
+      const auto graded = learner.expected_with_provenance(kCold, day);
+      ASSERT_TRUE(graded.value.has_value());
+      EXPECT_DOUBLE_EQ(*graded.value,
+                       *oracle.expected(kFeedKeys[day % 3], day) * 1.1);
+      EXPECT_EQ(graded.provenance, BaselineProvenance::kTransferred);
+      EXPECT_TRUE(learner.recently_churned(kCold, day));
+      expect_table_matches(learner, registry, oracle, day);
+    }
+    if (day != 7) feed(day, 6, 12);
+    expect_table_matches(learner, registry, oracle, day);
+    if (day == 12) {
+      store::SnapshotWriter writer;
+      learner.save_state(writer);
+      day12 = writer.serialize();
+      oracle12 = oracle;
+    }
+  }
+  // Restoring day 12's state into the learner frozen at day 19 re-freezes
+  // day 19 from that state: nothing is left in day 19's window.
+  learner.restore_state(store::SnapshotReader::from_bytes(day12, "<day 12>"));
+  expect_table_matches(learner, registry, oracle12, 19);
+  learner.freeze_day(12);
+  expect_table_matches(learner, registry, oracle12, 12);
 }
 
 /// A learner snapshot section by hand: payload format 2, `backend`, no

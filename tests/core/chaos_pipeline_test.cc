@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/quartet.h"
+#include "churning_day.h"
 #include "core/pipeline.h"
 #include "sim/chaos.h"
 #include "sim/telemetry.h"
@@ -198,25 +199,33 @@ TEST_F(ChaosPipelineTest, ChaosOffIsBitIdenticalToSeedPipeline) {
   EXPECT_TRUE(any_diag);
 }
 
-TEST_F(ChaosPipelineTest, SameSeedSameReportsAcrossAnalyticsThreads) {
-  // Chaos draws derive from event identity, not thread schedule: the full
-  // report stream under 20% loss + 10% truncation is identical at 1/4/8
-  // analytics threads.
+/// Fingerprints of every step of the churning day under probe and
+/// churn-feed chaos, then its snapshot bytes at the restart and the end.
+std::vector<std::string> churning_chaos_run(int analytics_threads) {
   sim::ChaosConfig chaos;
   chaos.probe_loss_rate = 0.2;
   chaos.hop_timeout_rate = 0.1;
-  const auto run = [&](int threads) {
-    faults_ = {};
-    add_middle_fault(120);
-    BlameItConfig cfg = shortened_config();
-    cfg.analytics_threads = threads;
-    build(cfg, chaos);
-    warm(2);
-    return run_steps(8);
-  };
-  const auto serial = run(1);
-  EXPECT_EQ(run(4), serial);
-  EXPECT_EQ(run(8), serial);
+  // Late events dated the previous day reach the learner after midnight.
+  chaos.churn_feed_delay_rate = 0.3;
+  chaos.churn_feed_loss_rate = 0.1;
+  std::vector<std::string> prints;
+  const auto snapshots = run_churning_day(
+      analytics_threads, chaos, nullptr,
+      [&](const StepReport& report) { prints.push_back(fingerprint(report)); });
+  prints.push_back(snapshots.restart);
+  prints.push_back(snapshots.end);
+  return prints;
+}
+
+TEST_F(ChaosPipelineTest, SameSeedSameReportsAcrossAnalyticsThreads) {
+  // Chaos draws derive from event identity, not thread schedule: the full
+  // report stream under probe loss, truncation and a lossy, late churn feed
+  // is identical with learning beside localize and without.
+  const auto serial = churning_chaos_run(1);
+  bool any_diag = false;
+  for (const auto& p : serial) any_diag |= p.find(" D") != std::string::npos;
+  EXPECT_TRUE(any_diag);
+  EXPECT_EQ(churning_chaos_run(2), serial);
 }
 
 TEST_F(ChaosPipelineTest, HeavyChaosCompletes200StepsGracefully) {

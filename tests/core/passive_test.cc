@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "sim/fault.h"
@@ -420,10 +421,8 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
                         .duration_minutes = util::kMinutesPerDay});
   auto quartets = quartets_for(faults, eval_bucket());
 
-  // Inject the ambiguity. Prefer a dual-homed block whose home locations
-  // differ by an odd amount: with shard = location % threads, such a pair
-  // lands in different shards at every even thread count, so the good-
-  // elsewhere signal must cross the shard merge to be seen.
+  // Inject the ambiguity on a dual-homed block: bad at one location, good
+  // at the other.
   std::map<std::uint32_t, std::vector<std::size_t>> by_block;
   for (std::size_t i = 0; i < quartets.size(); ++i) {
     if (quartets[i].key.device == net::DeviceClass::NonMobile &&
@@ -436,9 +435,8 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
     for (std::size_t a = 0; a < indices.size() && victim == quartets.size();
          ++a) {
       for (std::size_t b = a + 1; b < indices.size(); ++b) {
-        const auto la = quartets[indices[a]].key.location.value;
-        const auto lb = quartets[indices[b]].key.location.value;
-        if (((la ^ lb) & 1) != 0) {
+        if (quartets[indices[a]].key.location !=
+            quartets[indices[b]].key.location) {
           victim = indices[a];
           break;
         }
@@ -446,13 +444,14 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
     }
     if (victim != quartets.size()) break;
   }
-  ASSERT_LT(victim, quartets.size()) << "need a dual-homed odd-pair block";
+  ASSERT_LT(victim, quartets.size()) << "need a dual-homed block";
   quartets[victim].mean_rtt_ms += 300.0;  // bad here, still good elsewhere
   quartets[victim].bad = true;
 
-  BlameItConfig cfg;
-  const PassiveLocalizer serial{topo_, &learner, cfg};
-  const auto reference = serial.localize(quartets, 14);
+  // Reference: no table frozen yet, so every median is recomputed.
+  const PassiveLocalizer localizer{topo_, &learner, BlameItConfig{}};
+  ASSERT_NE(learner.frozen_day(), 14);
+  const auto reference = localizer.localize(quartets, 14);
 
   // Sanity: multiple decision paths fired, including the ambiguity rule.
   std::map<Blame, int> hist;
@@ -468,30 +467,32 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
   }
   EXPECT_TRUE(victim_ambiguous);
 
-  for (const int threads : {2, 4, 8}) {
-    cfg.analytics_threads = threads;
-    const PassiveLocalizer parallel{topo_, &learner, cfg};
-    EXPECT_EQ(parallel.threads(), threads);
-    // Exact equality: same results in the same (input) order, bit-identical
-    // means — the guarantee that makes the thread count a pure perf knob.
-    const auto results = parallel.localize(quartets, 14);
-    EXPECT_EQ(results, reference) << "thread count " << threads;
-  }
-
-  // The auto knob (0 = hardware cores) must agree too.
-  cfg.analytics_threads = 0;
-  const PassiveLocalizer auto_threads{topo_, &learner, cfg};
-  EXPECT_EQ(auto_threads.localize(quartets, 14), reference);
+  // From day 14's frozen table: alone, then while another thread learns
+  // the bucket's own quartets into day 14 — analytics_threads 1 and 2 of
+  // the pipeline. Exact equality: same results in the same order,
+  // bit-identical means.
+  learner.freeze_day(14);
+  EXPECT_EQ(localizer.localize(quartets, 14), reference);
+  std::thread learning{[&] {
+    for (const auto& q : quartets) {
+      learner.observe(analysis::cloud_key(q.key.location, q.key.device), 14,
+                      q.mean_rtt_ms);
+      learner.observe(
+          analysis::middle_key(q.key.location, q.middle, q.key.device), 14,
+          q.mean_rtt_ms);
+    }
+  }};
+  const auto beside_learning = localizer.localize(quartets, 14);
+  learning.join();
+  EXPECT_EQ(beside_learning, reference);
 }
 
 TEST_F(PassiveTest, ParallelLocalizeHandlesEmptyAndTinyInput) {
   analysis::ExpectedRttLearner learner;
-  BlameItConfig cfg;
-  cfg.analytics_threads = 4;
-  const PassiveLocalizer localizer{topo_, &learner, cfg};
+  const PassiveLocalizer localizer{topo_, &learner};
   EXPECT_TRUE(localizer.localize({}, 0).empty());
 
-  // Fewer quartets than shards: one bad quartet alone -> Insufficient.
+  // One bad quartet alone -> Insufficient.
   analysis::Quartet q;
   q.key = analysis::QuartetKey{.block = topo_->blocks().front().block,
                                .location = topo_->locations().front().id,
@@ -562,10 +563,9 @@ TEST_F(PassiveTest, RegistryNeverAffectsOutputAndCountsBlames) {
   const auto reference = plain.localize(quartets, 14);
   ASSERT_FALSE(reference.empty());
 
-  // A live registry on a multi-threaded localizer must leave the blame
-  // output bit-identical: metrics observe, they never participate.
+  // A live registry must leave the blame output bit-identical: metrics
+  // observe, they never participate.
   obs::Registry registry;
-  cfg.analytics_threads = 4;
   const PassiveLocalizer instrumented{topo_, &learner, cfg, &registry};
   EXPECT_EQ(instrumented.localize(quartets, 14), reference);
 
@@ -673,10 +673,6 @@ TEST_F(PassiveTest, InvalidConfigRejected) {
   bad.min_group_quartets = 0;
   EXPECT_THROW((PassiveLocalizer{topo_, &learner, bad}),
                std::invalid_argument);
-  bad = {};
-  bad.analytics_threads = -1;
-  EXPECT_THROW((PassiveLocalizer{topo_, &learner, bad}),
-               std::invalid_argument);
   EXPECT_THROW((PassiveLocalizer{nullptr, &learner}), std::invalid_argument);
   EXPECT_THROW((PassiveLocalizer{topo_, nullptr}), std::invalid_argument);
 }
@@ -687,8 +683,8 @@ TEST_F(PassiveTest, InvalidConfigRejected) {
 // a std::map entry per cloud/middle group whose comparison RTT is fixed by
 // the group's first quartet in input order, a std::map<block,
 // std::set<location>> of good locations for the ambiguity rule, and the same
-// branch order. Serial and unsharded, so it cannot share a bug with the
-// shard merge.
+// branch order. Node-based maps and sets, so it cannot share a bug with
+// the flat tables.
 std::vector<BlameResult> oracle_localize(
     const net::Topology& topo, const analysis::ExpectedRttLearner& learner,
     const BlameItConfig& cfg, std::span<const analysis::Quartet> quartets,
@@ -803,26 +799,21 @@ std::vector<BlameResult> oracle_localize(
   return out;
 }
 
-/// Runs localize() serially and on 4 threads and requires both to equal the
-/// oracle exactly; returns the oracle's results.
+/// Runs localize() and requires it to equal the oracle exactly; returns the
+/// oracle's results.
 std::vector<BlameResult> expect_matches_oracle(
     const net::Topology& topo, const analysis::ExpectedRttLearner& learner,
-    BlameItConfig cfg, const std::vector<analysis::Quartet>& quartets,
+    const BlameItConfig& cfg, const std::vector<analysis::Quartet>& quartets,
     int day, const SteerShield* shield = nullptr) {
   const auto expected =
       oracle_localize(topo, learner, cfg, quartets, day, shield);
-  for (const int threads : {1, 4}) {
-    cfg.analytics_threads = threads;
-    const PassiveLocalizer localizer{&topo, &learner, cfg};
-    EXPECT_EQ(localizer.localize(quartets, day, shield), expected)
-        << "analytics_threads " << threads;
-  }
+  const PassiveLocalizer localizer{&topo, &learner, cfg};
+  EXPECT_EQ(localizer.localize(quartets, day, shield), expected);
   return expected;
 }
 
 /// Index of a non-mobile good quartet in `region` whose /24 also has a good
-/// quartet at a location of the other parity (so the two land on different
-/// shards at any even thread count).
+/// quartet at another location.
 std::size_t dual_homed_good(const std::vector<analysis::Quartet>& quartets,
                             net::Region region) {
   std::map<std::uint32_t, std::vector<std::size_t>> by_block;
@@ -836,8 +827,8 @@ std::size_t dual_homed_good(const std::vector<analysis::Quartet>& quartets,
   for (const auto& [block, indices] : by_block) {
     for (std::size_t a = 0; a < indices.size(); ++a) {
       for (std::size_t b = a + 1; b < indices.size(); ++b) {
-        if (((quartets[indices[a]].key.location.value ^
-              quartets[indices[b]].key.location.value) & 1) != 0) {
+        if (quartets[indices[a]].key.location !=
+            quartets[indices[b]].key.location) {
           return indices[a];
         }
       }
@@ -1038,9 +1029,8 @@ std::vector<analysis::Quartet> healthy_backdrop(
 
 constexpr std::uint32_t kVictim = 42;
 
-/// Blames of the victim /24's bad quartets, checked against the oracle at 1
-/// and 4 threads, for the bucket as given and for the bucket followed by
-/// its own reverse. The second feed repeats every quartet (as
+/// Blames of the victim /24's bad quartets, checked against the oracle for
+/// the bucket as given and for the bucket followed by its own reverse. The second feed repeats every quartet (as
 /// BM_Algorithm1Scaled does) and ends on the location it started with: a
 /// repeated ⟨/24, location⟩ is one location, never a second one, and a
 /// revisit must not erase what was seen in between.
@@ -1069,7 +1059,8 @@ TEST_F(PassiveTest, GoodOnlyAtOwnLocationUnderOtherDeviceIsClient) {
 }
 
 TEST_F(PassiveTest, GoodAtTwoOtherLocationsOnDifferentShardsIsAmbiguous) {
-  // Locations 0, 1 and 2 are three different shards at 4 threads.
+  // Good at locations 1 and 2, bad at 0: the /24's summary starts at
+  // location 1 and must still record that 2 was good too.
   auto quartets = healthy_backdrop({0, 1, 2});
   quartets.push_back(
       hand_quartet(kVictim, 1, net::DeviceClass::NonMobile, false));
@@ -1082,9 +1073,8 @@ TEST_F(PassiveTest, GoodAtTwoOtherLocationsOnDifferentShardsIsAmbiguous) {
 }
 
 TEST_F(PassiveTest, GoodAtOwnLocationAndAnotherOnItsShardIsAmbiguous) {
-  // Locations 1 and 5 share shard 1 at 4 threads, and shard 0 never sees the
-  // /24: only the summary's "multi" bit, carried through the merge, says it
-  // was good somewhere besides location 1.
+  // Good at its own location 1 (under the other device) and at 5: only the
+  // summary's "multi" bit says it was good somewhere besides location 1.
   auto quartets = healthy_backdrop({0, 1, 5});
   quartets.push_back(hand_quartet(kVictim, 1, net::DeviceClass::Mobile, false));
   quartets.push_back(

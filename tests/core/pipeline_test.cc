@@ -3,16 +3,22 @@
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "analysis/quartet.h"
+#include "churning_day.h"
 #include "sim/telemetry.h"
 #include "store/snapshot.h"
 
@@ -142,32 +148,62 @@ TEST_F(PipelineTest, QuietNetworkProducesFewBlames) {
   EXPECT_LT(blames, quartets_seen / 5);
 }
 
+/// What one analytics_threads setting decided over the churning day: every
+/// blame and diagnosis, the snapshot bytes, and how often each churn
+/// mechanism fired.
+struct ChurnRun {
+  std::vector<BlameResult> blames;
+  std::string diagnoses;
+  ChurningDaySnapshots snapshots;
+  std::uint64_t transfers = 0;
+  std::uint64_t shields = 0;
+  std::uint64_t backfills = 0;
+  bool operator==(const ChurnRun&) const = default;
+};
+
+ChurnRun churn_run(int analytics_threads) {
+  ChurnRun out;
+  std::ostringstream diagnoses;
+  diagnoses << std::hexfloat;
+  obs::Registry registry;
+  out.snapshots = run_churning_day(
+      analytics_threads, sim::ChaosConfig{}, &registry,
+      [&](const StepReport& report) {
+        out.blames.insert(out.blames.end(), report.blames.begin(),
+                          report.blames.end());
+        for (const auto& d : report.diagnoses) {
+          diagnoses << d.location.value << ',' << d.middle.value << ','
+                    << (d.culprit ? d.culprit->value : 0) << ','
+                    << d.culprit_increase_ms << ','
+                    << static_cast<int>(d.confidence) << ','
+                    << static_cast<int>(d.grade) << ',' << d.probes_spent
+                    << '\n';
+        }
+      });
+  out.diagnoses = diagnoses.str();
+  const auto snap = registry.snapshot();
+  out.transfers = snap.counter_value("pipeline.churn_transfers").value_or(0);
+  out.shields = snap.counter_value("pipeline.steer_shields").value_or(0);
+  out.backfills = snap.counter_value("pipeline.cold_backfills").value_or(0);
+  return out;
+}
+
 TEST_F(PipelineTest, ParallelAnalyticsMatchesSerialEndToEnd) {
-  // A middle fault during the evaluation window gives the step something to
-  // blame; the parallel analytics core must reproduce the serial pipeline's
-  // blame stream exactly (same results, same order, bit-identical means).
-  faults_.add(sim::Fault{.kind = sim::FaultKind::MiddleAs,
-                         .as = used_transit(*topo_, net::Region::Europe),
-                         .added_ms = 120.0,
-                         .start = util::MinuteTime::from_day_hour(2, 0),
-                         .duration_minutes = 120});
-  const auto run = [&](int threads) {
-    BlameItConfig cfg = shortened_config();
-    cfg.analytics_threads = threads;
-    build(cfg);
-    warm(2);
-    std::vector<BlameResult> blames;
-    for (int minute = 15; minute <= 120; minute += 15) {
-      const auto report = pipeline_->step(
-          util::MinuteTime::from_days(2).plus_minutes(minute));
-      blames.insert(blames.end(), report.blames.begin(),
-                    report.blames.end());
-    }
-    return blames;
-  };
-  const auto serial = run(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(run(4), serial);
+  // Learning beside localize must reproduce the serial step exactly: the
+  // same blames in the same order with bit-identical means, the same
+  // diagnoses and the same snapshot bytes.
+  const ChurnRun serial = churn_run(1);
+  EXPECT_FALSE(serial.blames.empty());
+  EXPECT_FALSE(serial.diagnoses.empty());
+  EXPECT_FALSE(serial.snapshots.restart.empty());
+  EXPECT_GT(serial.transfers, 0u);
+  EXPECT_GT(serial.shields, 0u);
+  EXPECT_GT(serial.backfills, 0u);
+  const ChurnRun overlapped = churn_run(2);
+  EXPECT_EQ(overlapped.blames, serial.blames);
+  EXPECT_EQ(overlapped.diagnoses, serial.diagnoses);
+  EXPECT_EQ(overlapped.snapshots, serial.snapshots);
+  EXPECT_EQ(overlapped, serial);
 }
 
 TEST_F(PipelineTest, MiddleFaultDiagnosedEndToEnd) {
@@ -411,6 +447,71 @@ TEST_F(PipelineTest, InvalidConstructionThrows) {
   bad.cadence_minutes = 1;
   EXPECT_THROW((BlameItPipeline{topo_, engine_.get(), source, bad}),
                std::invalid_argument);
+}
+
+TEST_F(PipelineTest, RejectsAnalyticsThreadsOtherThanOneOrTwo) {
+  build();
+  auto source = [](util::TimeBucket) {
+    return std::vector<analysis::Quartet>{};
+  };
+  for (const int threads : {0, 3, -1}) {
+    BlameItConfig cfg;
+    cfg.analytics_threads = threads;
+    try {
+      const BlameItPipeline pipeline{topo_, engine_.get(), source, cfg};
+      ADD_FAILURE() << "accepted analytics_threads " << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("analytics_threads"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(LearnHelperTest, AffinityAfterPostExcludesThePostersCpu) {
+  const std::vector<int> cpus = detail::LearnHelper::allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two usable CPUs";
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof original, &original),
+            0);
+  detail::LearnHelper helper{cpus};
+  // Post from each CPU in turn, this thread pinned there.
+  for (const int poster : cpus) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(poster, &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof one, &one), 0);
+    int ran_on = -1;
+    helper.post([&] { ran_on = sched_getcpu(); });
+    EXPECT_EQ(helper.join(), nullptr);
+    cpu_set_t got;
+    CPU_ZERO(&got);
+    ASSERT_EQ(
+        pthread_getaffinity_np(helper.native_handle(), sizeof got, &got), 0);
+    EXPECT_FALSE(CPU_ISSET(poster, &got)) << "poster on CPU " << poster;
+    for (const int cpu : cpus) {
+      if (cpu != poster) {
+        EXPECT_TRUE(CPU_ISSET(cpu, &got)) << "CPU " << cpu;
+      }
+    }
+    EXPECT_NE(ran_on, poster);
+  }
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof original, &original),
+            0);
+}
+
+TEST(LearnHelperTest, JoinReturnsWhatTheJobThrew) {
+  detail::LearnHelper helper{detail::LearnHelper::allowed_cpus()};
+  helper.post([] { throw std::runtime_error{"learn failed"}; });
+  const std::exception_ptr error = helper.join();
+  ASSERT_NE(error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
+  // The helper keeps serving posts after a failed one.
+  bool ran = false;
+  helper.post([&] { ran = true; });
+  EXPECT_EQ(helper.join(), nullptr);
+  EXPECT_TRUE(ran);
 }
 
 }  // namespace

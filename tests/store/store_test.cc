@@ -121,7 +121,7 @@ std::vector<double> window(const ReservoirStore& store, std::uint64_t key,
 }
 
 TEST(ReservoirStore, SingleKeySingleDayBlock) {
-  ReservoirStore store{{.background_merge = false}};
+  ReservoirStore store;
   store.observe(99, 0, 10.0);
   store.observe(99, 0, 11.0);
   store.observe(99, 1, 12.0);  // rolls day 0 into a one-key immutable block
@@ -138,7 +138,7 @@ TEST(ReservoirStore, MergeAtGrowBoundaryPreservesEveryRow) {
   // max_blocks = 2: the third frozen day triggers a merge of the block list
   // into one run. Feed exactly enough days to land ON the boundary and one
   // past it, and verify no row is lost or reordered either time.
-  ReservoirStore store{{.max_blocks = 2, .background_merge = false}};
+  ReservoirStore store{{.max_blocks = 2}};
   const std::uint64_t kA = 5;
   const std::uint64_t kB = 6;
   for (int day = 0; day < 4; ++day) {
@@ -160,35 +160,36 @@ TEST(ReservoirStore, MergeAtGrowBoundaryPreservesEveryRow) {
   EXPECT_EQ(store.total_rows(), 8u);  // includes the day-5 memtable row
 }
 
-TEST(ReservoirStore, BackgroundMergeContentMatchesInline) {
-  // Same feed through both merge modes must yield identical window pools
-  // and identical save() bytes (the normal form hides merge timing).
+TEST(ReservoirStore, MergedAndUnmergedBlocksReadAndSaveAlike) {
+  // Same feed into a store that merges every few days and one that never
+  // merges: identical window pools and identical save() bytes (the normal
+  // form hides the block structure).
   const auto feed = [](ReservoirStore& store) {
     for (int day = 0; day < 12; ++day) {
       for (std::uint64_t key = 0; key < 16; ++key) {
         store.observe(key, day, static_cast<double>(day * 100 + key));
       }
     }
-    store.flush_merges();
   };
-  ReservoirStore inline_store{{.max_blocks = 3, .background_merge = false}};
-  ReservoirStore bg_store{{.max_blocks = 3, .background_merge = true}};
-  feed(inline_store);
-  feed(bg_store);
+  ReservoirStore merging{{.max_blocks = 3}};
+  ReservoirStore unmerged{{.max_blocks = 64}};
+  feed(merging);
+  feed(unmerged);
+  ASSERT_LT(merging.block_count(), unmerged.block_count());
 
   for (std::uint64_t key = 0; key < 16; ++key) {
-    EXPECT_EQ(window(inline_store, key, 12, 14), window(bg_store, key, 12, 14))
+    EXPECT_EQ(window(merging, key, 12, 14), window(unmerged, key, 12, 14))
         << "key " << key;
   }
   std::string a;
   std::string b;
-  inline_store.save(a);
-  bg_store.save(b);
+  merging.save(a);
+  unmerged.save(b);
   EXPECT_EQ(a, b);
 }
 
 TEST(ReservoirStore, SaveRestoreRoundTripIncludingMemtable) {
-  ReservoirStore store{{.max_blocks = 2, .background_merge = false}};
+  ReservoirStore store{{.max_blocks = 2}};
   for (int day = 0; day < 5; ++day) {
     for (std::uint64_t key = 0; key < 8; ++key) {
       store.observe(key, day, static_cast<double>(day * 10 + key));
@@ -197,7 +198,7 @@ TEST(ReservoirStore, SaveRestoreRoundTripIncludingMemtable) {
   std::string bytes;
   store.save(bytes);
 
-  ReservoirStore restored{{.max_blocks = 2, .background_merge = false}};
+  ReservoirStore restored{{.max_blocks = 2}};
   ByteReader reader{bytes, 0, "<mem>"};
   restored.restore(reader);
   reader.expect_done();
@@ -212,7 +213,7 @@ TEST(ReservoirStore, SaveRestoreRoundTripIncludingMemtable) {
 }
 
 TEST(ReservoirStore, EvictStaleDropsWholeWindowAndForgetsKeys) {
-  ReservoirStore store{{.background_merge = false}};
+  ReservoirStore store;
   store.observe(1, 0, 1.0);
   store.observe(2, 0, 2.0);
   store.observe(1, 5, 3.0);  // key 2 never reappears
@@ -237,7 +238,7 @@ TEST(ReservoirStore, RejectsOutOfOrderDays) {
 /// Restores `payload` (placed at file offset 100 of section "learner") into
 /// a fresh store; returns the SnapshotError message, or "" if accepted.
 std::string restore_error(std::string_view payload) {
-  ReservoirStore store{{.background_merge = false}};
+  ReservoirStore store;
   ByteReader reader{payload, 100, "section \"learner\""};
   try {
     store.restore(reader);

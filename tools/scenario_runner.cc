@@ -3,7 +3,7 @@
 //
 //   scenario_runner --pack packs/flash_crowd.json
 //   scenario_runner --pack a.json --pack b.json --golden packs/GOLDEN_DIGESTS
-//   scenario_runner --pack a.json --threads 4 --shards 8 --manifest-dir out/
+//   scenario_runner --pack a.json --threads 1 --shards 8 --manifest-dir out/
 //
 // Exit codes:
 //   0  every pack ran; digests matched the golden file (when given)
@@ -39,7 +39,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --pack FILE [--pack FILE ...]\n"
-      "          [--threads N]        analytics threads override\n"
+      "          [--threads N]        analytics threads override (1 or 2)\n"
       "          [--shards N]         ingest shards override (records mode)\n"
       "          [--manifest-dir DIR] write DIR/<pack>.manifest.jsonl\n"
       "          [--golden FILE]      compare digests (lines: <name> <hex>)\n"

@@ -30,10 +30,6 @@ store::ReservoirStoreConfig validated_store_config(
   if (config.window_days < 1 || config.reservoir_per_day < 1) {
     throw std::invalid_argument{"ExpectedRttConfig: invalid window/reservoir"};
   }
-  if (config.transfer_discount < 1.0 || config.transfer_max_age_days < 1) {
-    throw std::invalid_argument{
-        "ExpectedRttConfig: transfer discount must be >= 1 and max age >= 1"};
-  }
   return store::ReservoirStoreConfig{.reservoir_cap = config.reservoir_per_day,
                                      .metric_prefix = "store.learner",
                                      .registry = config.registry};
@@ -76,17 +72,17 @@ GradedExpectation ExpectedRttLearner::transferred(std::uint64_t key,
                                                   int day) const {
   const auto it = transfers_.find(key);
   if (it == transfers_.end() ||
-      day - it->second.day > config_.transfer_max_age_days) {
+      day - it->second.day > kTransferMaxAgeDays) {
     return GradedExpectation{};
   }
-  return GradedExpectation{it->second.value * config_.transfer_discount,
+  return GradedExpectation{it->second.value * kTransferDiscount,
                            BaselineProvenance::kTransferred};
 }
 
 bool ExpectedRttLearner::churned_on(std::uint64_t key, int day) const {
   const auto it = transfers_.find(key);
   return it != transfers_.end() && it->second.day <= day &&
-         day - it->second.day <= config_.transfer_max_age_days;
+         day - it->second.day <= kTransferMaxAgeDays;
 }
 
 std::optional<double> ExpectedRttLearner::expected(ExpectedRttKey key,
@@ -164,7 +160,7 @@ void ExpectedRttLearner::evict_stale(int day) {
   // Transfers past the age limit stopped being served already; drop them so
   // churned-away paths don't grow the side table forever.
   for (auto it = transfers_.begin(); it != transfers_.end();) {
-    if (day - it->second.day > config_.transfer_max_age_days) {
+    if (day - it->second.day > kTransferMaxAgeDays) {
       it = transfers_.erase(it);
     } else {
       ++it;

@@ -66,18 +66,18 @@ struct GradedExpectation {
   BaselineProvenance provenance = BaselineProvenance::kNone;
 };
 
+/// Multiplier applied to a transferred baseline when it is served — the
+/// freshness discount: the new path is ASSUMED a bit worse than the old
+/// path's median until real history accumulates, so borderline groups don't
+/// flap to bad on inherited optimism. Compounds across chained transfers.
+inline constexpr double kTransferDiscount = 1.1;
+/// Transfers older than this many days stop being served (and are evicted)
+/// — by then the window either has real history or the path is gone.
+inline constexpr int kTransferMaxAgeDays = 3;
+
 struct ExpectedRttConfig {
   int window_days = 14;          ///< paper uses the past 14 days
   int reservoir_per_day = 256;   ///< bounded per-day sample memory
-  /// Multiplier applied to a transferred baseline when it is served — the
-  /// freshness discount: the new path is ASSUMED a bit worse than the old
-  /// path's median until real history accumulates, so borderline groups
-  /// don't flap to bad on inherited optimism. Compounds across chained
-  /// transfers.
-  double transfer_discount = 1.1;
-  /// Transfers older than this many days stop being served (and are evicted)
-  /// — by then the window either has real history or the path is gone.
-  int transfer_max_age_days = 3;
   /// Optional metrics sink (day-table hits and off-day recomputes as
   /// learner.memo_hits/memo_misses, evictions, tracked keys, and the
   /// store.learner.* block/memtable/merge metrics); null = no
@@ -130,7 +130,7 @@ class ExpectedRttLearner {
 
   /// True while `key` holds a live (non-expired, non-future) transfer entry
   /// — i.e. a churn event re-routed traffic onto this key within the last
-  /// transfer_max_age_days. The passive phase uses this as corroboration
+  /// kTransferMaxAgeDays. The passive phase uses this as corroboration
   /// that a sub-threshold group shift is path-shaped (§13 soft badness).
   [[nodiscard]] bool recently_churned(ExpectedRttKey key, int day) const;
 

@@ -18,15 +18,6 @@ struct BlameItConfig {
   /// Days of history behind each expected-RTT median (§4.3).
   int expected_rtt_window_days = 14;
 
-  /// 2 learns from each bucket on a helper thread while Algorithm 1
-  /// localizes it (serial when the process may use only one CPU); 1 runs
-  /// them back to back; other values are rejected. Output is bit-identical
-  /// either way — this is purely a throughput knob.
-  int analytics_threads = 2;
-
-  /// How often the passive job runs (§6.1: every 15 minutes).
-  int cadence_minutes = 15;
-
   /// On-demand traceroutes permitted per cadence interval across the fleet
   /// (§5.3's probing budget).
   int probe_budget_per_run = 10;
@@ -92,15 +83,6 @@ struct BlameItConfig {
   /// entry from the old path's baseline (or a same-⟨location, old-path⟩
   /// sibling device class) instead of starting cold (→ Insufficient).
   bool churn_baseline_transfer = false;
-
-  /// Freshness discount multiplied into every served transferred baseline
-  /// (≥ 1; the inherited median is assumed slightly optimistic for the new
-  /// path until real history accumulates).
-  double churn_transfer_discount = 1.1;
-
-  /// Transferred baselines expire after this many days without being
-  /// replaced by real history.
-  int churn_transfer_max_age_days = 3;
 
   /// Shield destination-edge cloud blames for /24s that a SteerShift churn
   /// event just moved: re-steered clients inflate the destination location's

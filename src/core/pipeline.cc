@@ -86,21 +86,15 @@ BlameItPipeline::BlameItPipeline(const net::Topology* topology,
   if (!topology_ || !engine_ || !source_) {
     throw std::invalid_argument{"BlameItPipeline: null dependency"};
   }
-  if (config_.cadence_minutes < util::kBucketMinutes ||
-      config_.probe_budget_per_run < 0) {
-    throw std::invalid_argument{"BlameItConfig: invalid cadence or budget"};
-  }
-  if (config_.analytics_threads != 1 && config_.analytics_threads != 2) {
+  if (config_.probe_budget_per_run < 0) {
     throw std::invalid_argument{
-        "BlameItConfig: analytics_threads must be 1 (serial) or 2 (learn "
-        "beside localize), got " +
-        std::to_string(config_.analytics_threads)};
+        "BlameItConfig: probe_budget_per_run must be >= 0, got " +
+        std::to_string(config_.probe_budget_per_run)};
   }
-  if (config_.analytics_threads == 2) {
-    auto cpus = detail::LearnHelper::allowed_cpus();
-    if (cpus.size() >= 2) {
-      helper_ = std::make_unique<detail::LearnHelper>(std::move(cpus));
-    }
+  // Learning overlaps localize whenever this thread may use two CPUs; a
+  // process pinned to one (taskset -c 0) gets the serial step.
+  if (auto cpus = detail::LearnHelper::allowed_cpus(); cpus.size() >= 2) {
+    helper_ = std::make_unique<detail::LearnHelper>(std::move(cpus));
   }
   source_ms_h_ = obs::histogram(registry, "step.source_ms");
   learn_ms_h_ = obs::histogram(registry, "step.learn_ms");

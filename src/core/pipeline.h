@@ -121,6 +121,8 @@ class BlameItPipeline {
   /// owns (learner, passive localizer, probers, per-stage step spans); null
   /// keeps the uninstrumented zero-overhead path. Throws
   /// std::invalid_argument for an invalid config, naming the field.
+  /// Starts the learn helper when the calling thread may use two or more
+  /// CPUs; the output is bit-identical either way.
   BlameItPipeline(const net::Topology* topology,
                   sim::TracerouteEngine* engine, QuartetSource source,
                   BlameItConfig config = {}, obs::Registry* registry = nullptr);
@@ -155,6 +157,10 @@ class BlameItPipeline {
   }
   [[nodiscard]] const BlameItConfig& config() const noexcept {
     return config_;
+  }
+  /// Whether steps learn on the helper thread beside localize.
+  [[nodiscard]] bool learns_beside_localize() const noexcept {
+    return helper_ != nullptr;
   }
 
   /// Feed a bucket's quartets into the learner/predictors WITHOUT running

@@ -217,12 +217,10 @@ void parse_pipeline(const Ctx& ctx, const Value& v, const std::string& path,
                     core::BlameItConfig& out) {
   ctx.want_object(v, path);
   ctx.check_keys(v, path,
-                 {"analytics_threads", "expected_rtt_window_days",
-                  "probe_budget_per_run", "active_quorum_k",
-                  "active_probe_retries", "churn_baseline_transfer",
-                  "churn_transfer_discount", "churn_transfer_max_age_days",
-                  "churn_steer_shield", "churn_shield_minutes",
-                  "probe_on_no_baseline"});
+                 {"expected_rtt_window_days", "probe_budget_per_run",
+                  "active_quorum_k", "active_probe_retries",
+                  "churn_baseline_transfer", "churn_steer_shield",
+                  "churn_shield_minutes", "probe_on_no_baseline"});
   const auto opt_int = [&](std::string_view key, int& field, int lo, int hi) {
     if (const auto* m = v.find(key)) {
       field = static_cast<int>(
@@ -234,22 +232,11 @@ void parse_pipeline(const Ctx& ctx, const Value& v, const std::string& path,
       field = ctx.want_bool(*m, path + "." + std::string{key});
     }
   };
-  opt_int("analytics_threads", out.analytics_threads, 1, 2);
   opt_int("expected_rtt_window_days", out.expected_rtt_window_days, 1, 30);
   opt_int("probe_budget_per_run", out.probe_budget_per_run, 0, 1000);
   opt_int("active_quorum_k", out.active_quorum_k, 1, 9);
   opt_int("active_probe_retries", out.active_probe_retries, 0, 10);
   opt_bool("churn_baseline_transfer", out.churn_baseline_transfer);
-  if (const auto* m = v.find("churn_transfer_discount")) {
-    const std::string p = path + ".churn_transfer_discount";
-    out.churn_transfer_discount = ctx.want_number(*m, p);
-    if (out.churn_transfer_discount < 1.0 ||
-        out.churn_transfer_discount > 4.0) {
-      ctx.fail(*m, p, "discount must be in [1, 4]");
-    }
-  }
-  opt_int("churn_transfer_max_age_days", out.churn_transfer_max_age_days, 1,
-          30);
   opt_bool("churn_steer_shield", out.churn_steer_shield);
   opt_int("churn_shield_minutes", out.churn_shield_minutes, 1, 7 * 24 * 60);
   opt_bool("probe_on_no_baseline", out.probe_on_no_baseline);
@@ -261,8 +248,8 @@ void parse_ingest(const Ctx& ctx, const Value& v, const std::string& path,
   ctx.check_keys(v, path, {"shards", "batch_records", "queue_batches",
                            "lateness_minutes"});
   if (const auto* m = v.find("shards")) {
-    out.shards =
-        static_cast<int>(ctx.want_int_in(*m, path + ".shards", 1, 64));
+    out.shards = static_cast<int>(
+        ctx.want_int_in(*m, path + ".shards", 1, kMaxIngestShards));
   }
   if (const auto* m = v.find("batch_records")) {
     out.batch_records = static_cast<std::size_t>(

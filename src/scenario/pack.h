@@ -32,6 +32,9 @@ class PackError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Most ingest shards a pack (or a runner override) may ask for.
+inline constexpr int kMaxIngestShards = 64;
+
 /// How the pipeline gets its quartets.
 enum class FeedMode : std::uint8_t {
   Aggregates,  ///< synchronous QuartetBuilder over generate_aggregates

@@ -1,8 +1,9 @@
 #include "scenario/runner.h"
 
 #include <memory>
-
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/quartet.h"
 #include "ingest/source.h"
@@ -89,11 +90,6 @@ RunResult run_once(const Pack& pack, const RunnerOptions& options,
                                          .generator = generator.get(),
                                          .topology = topology.get()});
 
-  core::BlameItConfig pipeline_config = pack.pipeline;
-  if (options.analytics_threads > 0) {
-    pipeline_config.analytics_threads = options.analytics_threads;
-  }
-
   std::unique_ptr<ingest::IngestEngine> ingest_engine;
   core::BlameItPipeline::QuartetSource source;
   if (pack.mode == FeedMode::Records) {
@@ -135,7 +131,7 @@ RunResult run_once(const Pack& pack, const RunnerOptions& options,
   // The source is copied (not moved) into the pipeline so a restarted
   // pipeline can be wired to the very same feed.
   auto pipeline = std::make_unique<core::BlameItPipeline>(
-      topology.get(), engine.get(), source, pipeline_config);
+      topology.get(), engine.get(), source, pack.pipeline);
 
   for (int day = 0; day < pack.warmup_days; ++day) {
     for (int b = 0; b < util::kBucketsPerDay; ++b) {
@@ -170,7 +166,7 @@ RunResult run_once(const Pack& pack, const RunnerOptions& options,
         std::string bytes = writer.serialize();
         pipeline.reset();
         pipeline = std::make_unique<core::BlameItPipeline>(
-            topology.get(), engine.get(), source, pipeline_config);
+            topology.get(), engine.get(), source, pack.pipeline);
         pipeline->restore_snapshot(store::SnapshotReader::from_bytes(
             std::move(bytes), "<restart at " +
                                   std::to_string(restart_at->minutes) +
@@ -180,6 +176,7 @@ RunResult run_once(const Pack& pack, const RunnerOptions& options,
   }
 
   result.digest = digest.hex();
+  result.learned_beside_localize = pipeline->learns_beside_localize();
   result.scores = scorer.finish();
   for (const auto& score : result.scores) {
     if (score.passed) {
@@ -209,6 +206,12 @@ RunResult run_once(const Pack& pack, const RunnerOptions& options,
 }  // namespace
 
 RunResult run_pack(const Pack& pack, const RunnerOptions& options) {
+  if (options.ingest_shards < 0 || options.ingest_shards > kMaxIngestShards) {
+    throw std::invalid_argument{
+        "RunnerOptions: ingest_shards must be 1.." +
+        std::to_string(kMaxIngestShards) + " (0 keeps the pack's), got " +
+        std::to_string(options.ingest_shards)};
+  }
   RunResult reference = run_once(pack, options, std::nullopt);
   if (!pack.restart) return reference;
 
@@ -227,16 +230,10 @@ std::string manifest_jsonl(const Pack& pack, const RunResult& result,
                            const std::string& pack_path,
                            const RunnerOptions& options) {
   std::string out;
-  const auto rerun_suffix = [&]() {
-    std::string s;
-    if (options.analytics_threads > 0) {
-      s += " --threads " + std::to_string(options.analytics_threads);
-    }
-    if (options.ingest_shards > 0) {
-      s += " --shards " + std::to_string(options.ingest_shards);
-    }
-    return s;
-  }();
+  const std::string rerun_suffix =
+      options.ingest_shards > 0
+          ? " --shards " + std::to_string(options.ingest_shards)
+          : std::string{};
 
   for (const auto& score : result.scores) {
     util::json::Writer w;

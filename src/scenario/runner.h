@@ -3,10 +3,10 @@
 // profile, applies the fault schedule, runs the evaluation window at the
 // 15-minute cadence, and produces
 //   (a) a deterministic trace digest — a stable hash over the per-step
-//       verdict stream. Two runs of the same pack (any analytics thread
-//       count, any ingest shard count) must produce the same digest; a
-//       changed digest means pipeline OUTPUT changed, which is exactly what
-//       the CI golden files gate on.
+//       verdict stream. Two runs of the same pack (serial or overlapped
+//       analytics step, any ingest shard count) must produce the same
+//       digest; a changed digest means pipeline OUTPUT changed, which is
+//       exactly what the CI golden files gate on.
 //   (b) per-incident scores with overlap-aware pass/fail (see score.h), and
 //   (c) a JSONL manifest with a copy-pasteable rerun command per incident.
 #pragma once
@@ -20,9 +20,8 @@
 namespace blameit::scenario {
 
 struct RunnerOptions {
-  /// Override the pack's analytics thread count (0 = use the pack's value).
-  int analytics_threads = 0;
-  /// Override the pack's ingest shard count (records mode; 0 = pack value).
+  /// Override the pack's ingest shard count (records mode; 0 = pack value,
+  /// else 1..kMaxIngestShards).
   int ingest_shards = 0;
 };
 
@@ -36,6 +35,9 @@ struct RunResult {
   int steps = 0;
   long blames_total = 0;
   long diagnoses_total = 0;
+  /// The pipeline learned beside localize (see
+  /// BlameItPipeline::learns_beside_localize).
+  bool learned_beside_localize = false;
 
   // Ingest-plane pressure (records mode only; zero in aggregates mode).
   std::uint64_t ingest_records_in = 0;
@@ -54,7 +56,8 @@ struct RunResult {
 };
 
 /// Runs the pack. Throws PackError / std::invalid_argument on schedule
-/// errors (e.g. an incident that cannot be applied).
+/// errors (e.g. an incident that cannot be applied) and, before building
+/// anything, on an ingest_shards override outside 0..kMaxIngestShards.
 [[nodiscard]] RunResult run_pack(const Pack& pack,
                                  const RunnerOptions& options = {});
 

@@ -285,14 +285,13 @@ bool HttpServer::start() {
   }
 
   stopping_.store(false, std::memory_order_release);
-  pending_ = std::make_unique<ingest::BoundedQueue<int>>(
-      config_.max_pending_connections);
-  pool_ = std::make_unique<util::ThreadPool>(config_.workers);
+  pending_ =
+      std::make_unique<BoundedQueue<int>>(config_.max_pending_connections);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { accept_loop(); });
-  pool_runner_ = std::thread([this] {
-    pool_->run(config_.workers, [this](int index) { worker_loop(index); });
-  });
+  for (int i = 0; i < config_.workers; ++i) {
+    workers_.emplace_back([this, i] { worker_loop(i); });
+  }
   return true;
 }
 
@@ -307,14 +306,14 @@ void HttpServer::stop() {
     const int fd = slot.load(std::memory_order_acquire);
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
-  if (pool_runner_.joinable()) pool_runner_.join();
+  for (auto& worker : workers_) worker.join();
+  workers_.clear();
   // Anything still queued was closed by the draining workers; the queue is
   // empty now. Tear down the listener last.
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  pool_.reset();
   pending_.reset();
   running_.store(false, std::memory_order_release);
 }
@@ -337,7 +336,7 @@ void HttpServer::accept_loop() {
       break;
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (pending_->push(fd) == ingest::PushStatus::Closed) {
+    if (pending_->push(fd) == PushStatus::Closed) {
       ::close(fd);  // raced with stop()
     }
   }

@@ -1,6 +1,6 @@
 // Dependency-free embedded HTTP/1.1 server for the verdict service: a
 // blocking accept loop feeding a bounded connection queue drained by a
-// small worker pool (util::ThreadPool). Scope is deliberately narrow — the
+// fixed set of worker threads. Scope is deliberately narrow — the
 // service speaks GET + keep-alive + Content-Length, nothing else (no TLS,
 // no chunked encoding, no HTTP/2): it serves JSON to operators and
 // scrapers on a trusted network, and every byte of parsing is bounded.
@@ -23,8 +23,7 @@
 #include <utility>
 #include <vector>
 
-#include "ingest/queue.h"
-#include "util/thread_pool.h"
+#include "svc/queue.h"
 
 namespace blameit::svc {
 
@@ -106,9 +105,10 @@ struct HttpServerConfig {
   HttpLimits limits;
 };
 
-/// The server. start() binds and spawns the accept loop plus the worker
-/// pool; stop() (or destruction) drains: listener closed, queue closed,
-/// in-flight connections shut down, every thread joined, every fd closed.
+/// The server. start() binds and spawns the accept thread plus `workers`
+/// worker threads; stop() (or destruction) drains: accepting stops, the
+/// queue closes, in-flight connections are shut down, every thread joined,
+/// every fd closed.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -155,10 +155,9 @@ class HttpServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  std::unique_ptr<ingest::BoundedQueue<int>> pending_;
+  std::unique_ptr<BoundedQueue<int>> pending_;
   std::thread accept_thread_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::thread pool_runner_;  ///< drives pool_->run(workers, worker_loop)
+  std::vector<std::thread> workers_;  ///< each runs worker_loop(index)
 
   /// fd each worker is currently serving (-1 idle); stop() shuts these
   /// down so blocked reads wake immediately instead of riding out their

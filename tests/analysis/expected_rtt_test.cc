@@ -579,7 +579,7 @@ TEST(BaselineTransfer, SeedsColdKeyWithDiscount) {
   EXPECT_FALSE(learner.expected(kNewPath, 5).has_value());
   const auto graded = learner.expected_with_provenance(kNewPath, 5);
   ASSERT_TRUE(graded.value.has_value());
-  EXPECT_DOUBLE_EQ(*graded.value, 40.0 * 1.1);  // default discount
+  EXPECT_DOUBLE_EQ(*graded.value, 40.0 * 1.1);  // kTransferDiscount
   EXPECT_EQ(graded.provenance, BaselineProvenance::kTransferred);
   EXPECT_TRUE(learner.recently_churned(kNewPath, 5));
   EXPECT_FALSE(learner.recently_churned(kOldPath, 5));
@@ -588,7 +588,6 @@ TEST(BaselineTransfer, SeedsColdKeyWithDiscount) {
 TEST(BaselineTransfer, SurvivesSourceEvictionThenExpires) {
   ExpectedRttConfig cfg;
   cfg.window_days = 2;
-  cfg.transfer_max_age_days = 3;
   ExpectedRttLearner learner{cfg};
   learner.observe(kOldPath, 0, 50.0);
   ASSERT_TRUE(learner.transfer_baseline(kOldPath, kNewPath, 1));
@@ -598,7 +597,7 @@ TEST(BaselineTransfer, SurvivesSourceEvictionThenExpires) {
   EXPECT_FALSE(learner.expected_with_provenance(kOldPath, 4).value);
   const auto graded = learner.expected_with_provenance(kNewPath, 4);
   ASSERT_TRUE(graded.value.has_value());
-  EXPECT_DOUBLE_EQ(*graded.value, 50.0 * cfg.transfer_discount);
+  EXPECT_DOUBLE_EQ(*graded.value, 50.0 * kTransferDiscount);
 
   // Past the age limit the transfer stops being served, and evict_stale
   // drops the entry from the side table.

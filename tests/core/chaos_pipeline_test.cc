@@ -201,7 +201,7 @@ TEST_F(ChaosPipelineTest, ChaosOffIsBitIdenticalToSeedPipeline) {
 
 /// Fingerprints of every step of the churning day under probe and
 /// churn-feed chaos, then its snapshot bytes at the restart and the end.
-std::vector<std::string> churning_chaos_run(int analytics_threads) {
+std::vector<std::string> churning_chaos_run(bool serial) {
   sim::ChaosConfig chaos;
   chaos.probe_loss_rate = 0.2;
   chaos.hop_timeout_rate = 0.1;
@@ -210,7 +210,7 @@ std::vector<std::string> churning_chaos_run(int analytics_threads) {
   chaos.churn_feed_loss_rate = 0.1;
   std::vector<std::string> prints;
   const auto snapshots = run_churning_day(
-      analytics_threads, chaos, nullptr,
+      serial, chaos, nullptr,
       [&](const StepReport& report) { prints.push_back(fingerprint(report)); });
   prints.push_back(snapshots.restart);
   prints.push_back(snapshots.end);
@@ -220,12 +220,13 @@ std::vector<std::string> churning_chaos_run(int analytics_threads) {
 TEST_F(ChaosPipelineTest, SameSeedSameReportsAcrossAnalyticsThreads) {
   // Chaos draws derive from event identity, not thread schedule: the full
   // report stream under probe loss, truncation and a lossy, late churn feed
-  // is identical with learning beside localize and without.
-  const auto serial = churning_chaos_run(1);
+  // is identical with learning beside localize and without (pipelines
+  // built on a one-CPU thread).
+  const auto serial = churning_chaos_run(/*serial=*/true);
   bool any_diag = false;
   for (const auto& p : serial) any_diag |= p.find(" D") != std::string::npos;
   EXPECT_TRUE(any_diag);
-  EXPECT_EQ(churning_chaos_run(2), serial);
+  EXPECT_EQ(churning_chaos_run(/*serial=*/false), serial);
 }
 
 TEST_F(ChaosPipelineTest, HeavyChaosCompletes200StepsGracefully) {

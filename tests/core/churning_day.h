@@ -1,16 +1,20 @@
-// The overnight run that the analytics_threads parity tests compare: one
+// The overnight run that the serial-vs-overlapped parity tests compare: one
 // pipeline stepped from day 2 18:00 to day 3 06:00 with every churn knob on,
 // saved at day 3 03:00 and restored into a new pipeline that finishes the
 // run.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "analysis/quartet.h"
 #include "core/pipeline.h"
 #include "obs/registry.h"
+#include "one_cpu.h"
 #include "sim/chaos.h"
 #include "sim/scenario.h"
 #include "sim/telemetry.h"
@@ -29,10 +33,12 @@ struct ChurningDaySnapshots {
 /// routes: a flap storm in Europe drives baseline transfers, a re-steer from
 /// East Asia opens steer shields, and an Indian transit fault is probed, and
 /// back-filled where its path has no baseline. Crossing midnight re-freezes
-/// the learner's day table inside a step. `chaos` reaches the traceroute
-/// engine and the churn feed; `on_step` sees every report.
+/// the learner's day table inside a step. `serial` builds both pipelines
+/// pinned to one CPU and fails the test if either starts the learn helper.
+/// `chaos` reaches the traceroute engine and the churn feed; `on_step` sees
+/// every report.
 inline ChurningDaySnapshots run_churning_day(
-    int analytics_threads, const sim::ChaosConfig& chaos,
+    bool serial, const sim::ChaosConfig& chaos,
     obs::Registry* registry,
     const std::function<void(const StepReport&)>& on_step) {
   net::TopologyConfig topology;
@@ -80,7 +86,6 @@ inline ChurningDaySnapshots run_churning_day(
 
   BlameItConfig cfg;
   cfg.expected_rtt_window_days = 2;
-  cfg.analytics_threads = analytics_threads;
   cfg.churn_baseline_transfer = true;
   cfg.churn_steer_shield = true;
   cfg.probe_on_no_baseline = true;
@@ -94,8 +99,15 @@ inline ChurningDaySnapshots run_churning_day(
     return builder.take_bucket(bucket);
   };
   const auto make = [&] {
-    return std::make_unique<BlameItPipeline>(topo.get(), &engine, source, cfg,
-                                             registry);
+    std::optional<PinnedToOneCpu> pin;
+    if (serial) pin.emplace();
+    auto pipeline = std::make_unique<BlameItPipeline>(topo.get(), &engine,
+                                                      source, cfg, registry);
+    if (serial) {
+      EXPECT_FALSE(pipeline->learns_beside_localize())
+          << "the serial leg started the learn helper";
+    }
+    return pipeline;
   };
   const auto save = [](const BlameItPipeline& pipeline) {
     store::SnapshotWriter writer;

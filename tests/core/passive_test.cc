@@ -468,8 +468,8 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(victim_ambiguous);
 
   // From day 14's frozen table: alone, then while another thread learns
-  // the bucket's own quartets into day 14 — analytics_threads 1 and 2 of
-  // the pipeline. Exact equality: same results in the same order,
+  // the bucket's own quartets into day 14 — the serial and the overlapped
+  // step of the pipeline. Exact equality: same results in the same order,
   // bit-identical means.
   learner.freeze_day(14);
   EXPECT_EQ(localizer.localize(quartets, 14), reference);

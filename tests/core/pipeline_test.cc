@@ -19,6 +19,7 @@
 
 #include "analysis/quartet.h"
 #include "churning_day.h"
+#include "one_cpu.h"
 #include "sim/telemetry.h"
 #include "store/snapshot.h"
 
@@ -148,7 +149,7 @@ TEST_F(PipelineTest, QuietNetworkProducesFewBlames) {
   EXPECT_LT(blames, quartets_seen / 5);
 }
 
-/// What one analytics_threads setting decided over the churning day: every
+/// What one leg (serial or overlapped) decided over the churning day: every
 /// blame and diagnosis, the snapshot bytes, and how often each churn
 /// mechanism fired.
 struct ChurnRun {
@@ -161,13 +162,13 @@ struct ChurnRun {
   bool operator==(const ChurnRun&) const = default;
 };
 
-ChurnRun churn_run(int analytics_threads) {
+ChurnRun churn_run(bool serial) {
   ChurnRun out;
   std::ostringstream diagnoses;
   diagnoses << std::hexfloat;
   obs::Registry registry;
   out.snapshots = run_churning_day(
-      analytics_threads, sim::ChaosConfig{}, &registry,
+      serial, sim::ChaosConfig{}, &registry,
       [&](const StepReport& report) {
         out.blames.insert(out.blames.end(), report.blames.begin(),
                           report.blames.end());
@@ -189,17 +190,18 @@ ChurnRun churn_run(int analytics_threads) {
 }
 
 TEST_F(PipelineTest, ParallelAnalyticsMatchesSerialEndToEnd) {
-  // Learning beside localize must reproduce the serial step exactly: the
-  // same blames in the same order with bit-identical means, the same
-  // diagnoses and the same snapshot bytes.
-  const ChurnRun serial = churn_run(1);
+  // Learning beside localize must reproduce the serial step (pipelines
+  // built on a one-CPU thread) exactly: the same blames in the same order
+  // with bit-identical means, the same diagnoses and the same snapshot
+  // bytes.
+  const ChurnRun serial = churn_run(/*serial=*/true);
   EXPECT_FALSE(serial.blames.empty());
   EXPECT_FALSE(serial.diagnoses.empty());
   EXPECT_FALSE(serial.snapshots.restart.empty());
   EXPECT_GT(serial.transfers, 0u);
   EXPECT_GT(serial.shields, 0u);
   EXPECT_GT(serial.backfills, 0u);
-  const ChurnRun overlapped = churn_run(2);
+  const ChurnRun overlapped = churn_run(/*serial=*/false);
   EXPECT_EQ(overlapped.blames, serial.blames);
   EXPECT_EQ(overlapped.diagnoses, serial.diagnoses);
   EXPECT_EQ(overlapped.snapshots, serial.snapshots);
@@ -444,28 +446,30 @@ TEST_F(PipelineTest, InvalidConstructionThrows) {
   EXPECT_THROW((BlameItPipeline{topo_, nullptr, source}),
                std::invalid_argument);
   BlameItConfig bad;
-  bad.cadence_minutes = 1;
+  bad.probe_budget_per_run = -1;
   EXPECT_THROW((BlameItPipeline{topo_, engine_.get(), source, bad}),
                std::invalid_argument);
 }
 
-TEST_F(PipelineTest, RejectsAnalyticsThreadsOtherThanOneOrTwo) {
+TEST_F(PipelineTest, StartsTheLearnHelperOnlyWhenTwoCpusAreUsable) {
   build();
   auto source = [](util::TimeBucket) {
     return std::vector<analysis::Quartet>{};
   };
-  for (const int threads : {0, 3, -1}) {
-    BlameItConfig cfg;
-    cfg.analytics_threads = threads;
-    try {
-      const BlameItPipeline pipeline{topo_, engine_.get(), source, cfg};
-      ADD_FAILURE() << "accepted analytics_threads " << threads;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string{e.what()}.find("analytics_threads"),
-                std::string::npos)
-          << e.what();
-    }
+  {
+    const PinnedToOneCpu pin;
+    const auto before = thread_count();
+    const BlameItPipeline serial{topo_, engine_.get(), source};
+    EXPECT_EQ(thread_count(), before);
+    EXPECT_FALSE(serial.learns_beside_localize());
   }
+  if (detail::LearnHelper::allowed_cpus().size() < 2) {
+    GTEST_SKIP() << "needs two usable CPUs";
+  }
+  const auto before = thread_count();
+  const BlameItPipeline overlapped{topo_, engine_.get(), source};
+  EXPECT_EQ(thread_count(), before + 1);
+  EXPECT_TRUE(overlapped.learns_beside_localize());
 }
 
 TEST(LearnHelperTest, AffinityAfterPostExcludesThePostersCpu) {

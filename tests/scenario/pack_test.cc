@@ -315,5 +315,18 @@ TEST(PackTest, RemovedBackendKeyIsUnknown) {
   EXPECT_NE(what.find("unknown member"), std::string::npos) << what;
 }
 
+TEST(PackTest, RemovedPipelineSettingsAreUnknown) {
+  // The analytics step picks its threading from the usable CPUs, and the
+  // transfer discount and age are learner constants: packs name none.
+  for (const std::string key :
+       {"analytics_threads", "churn_transfer_discount",
+        "churn_transfer_max_age_days"}) {
+    const auto what =
+        error_of(with_restart("\"3d12:00\"", "\"" + key + "\": 2"));
+    EXPECT_NE(what.find("$.pipeline." + key), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown member"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace blameit::scenario

@@ -1,7 +1,8 @@
 // End-to-end runner contracts:
-//  - the trace digest is byte-identical across runs, analytics thread
-//    counts, and ingest shard counts — WITH measurement chaos enabled
-//    (chaos decisions hash event identity, never thread/shard layout);
+//  - the trace digest is byte-identical across runs, the serial and the
+//    overlapped analytics step, and ingest shard counts — WITH measurement
+//    chaos enabled (chaos decisions hash event identity, never thread/shard
+//    layout);
 //  - overlapping incidents are scored with the documented precedence
 //    (latest-start primary, acceptable set = union of overlap partners'
 //    expected categories);
@@ -13,7 +14,10 @@
 
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+
+#include "one_cpu.h"
 
 namespace blameit::scenario {
 namespace {
@@ -120,13 +124,33 @@ TEST(RunnerDeterminismTest, DigestStableAcrossThreadsAndShardsUnderChaos) {
   EXPECT_GT(base.ingest_records_in, 0u);
   EXPECT_GT(base.steps, 0);
 
-  for (const int threads : {1, 2}) {
-    const auto r = run_pack(pack, {.analytics_threads = threads});
-    EXPECT_EQ(r.digest, base.digest) << "analytics_threads=" << threads;
+  // The serial leg: the whole run on a thread pinned to one CPU, as under
+  // `taskset -c 0`.
+  RunResult serial;
+  {
+    const core::PinnedToOneCpu pin;
+    serial = run_pack(pack);
   }
+  EXPECT_FALSE(serial.learned_beside_localize)
+      << "the serial leg started the learn helper";
+  EXPECT_EQ(serial.digest, base.digest) << "serial analytics step";
   for (const int shards : {1, 2, 4, 8}) {
     const auto r = run_pack(pack, {.ingest_shards = shards});
     EXPECT_EQ(r.digest, base.digest) << "ingest_shards=" << shards;
+  }
+}
+
+TEST(RunnerOptionsTest, ShardOverrideOutsideOneToSixtyFourIsRejected) {
+  const auto pack = parse(kChaosPack);
+  for (const int shards : {65, -1}) {
+    try {
+      (void)run_pack(pack, {.ingest_shards = shards});
+      ADD_FAILURE() << "accepted ingest_shards " << shards;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("ingest_shards"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

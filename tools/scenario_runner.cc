@@ -3,7 +3,8 @@
 //
 //   scenario_runner --pack packs/flash_crowd.json
 //   scenario_runner --pack a.json --pack b.json --golden packs/GOLDEN_DIGESTS
-//   scenario_runner --pack a.json --threads 1 --shards 8 --manifest-dir out/
+//   scenario_runner --pack a.json --shards 8 --manifest-dir out/
+//   taskset -c 0 scenario_runner --pack a.json   # serial analytics step
 //
 // Exit codes:
 //   0  every pack ran; digests matched the golden file (when given)
@@ -18,6 +19,7 @@
 // --min-accuracy turns a pack's accuracy into a ratcheted floor: once the
 // pipeline learns to localize a pack's incidents, CI pins that win so a
 // regression cannot slip back in behind an intentional digest refresh.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +28,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/pack.h"
@@ -39,15 +42,14 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --pack FILE [--pack FILE ...]\n"
-      "          [--threads N]        analytics threads override (1 or 2)\n"
-      "          [--shards N]         ingest shards override (records mode)\n"
+      "          [--shards N]         ingest shards, 1-%d (records mode)\n"
       "          [--manifest-dir DIR] write DIR/<pack>.manifest.jsonl\n"
       "          [--golden FILE]      compare digests (lines: <name> <hex>)\n"
       "          [--update-golden FILE] write digests instead of comparing\n"
       "          [--expect-digest HEX]  assert a single pack's digest\n"
       "          [--min-accuracy PACK=FLOOR] fail (exit 4) if PACK's\n"
       "                               incident accuracy drops below FLOOR\n",
-      argv0);
+      argv0, scenario::kMaxIngestShards);
   return 2;
 }
 
@@ -94,10 +96,18 @@ int main(int argc, char** argv) {
     };
     if (arg == "--pack") {
       pack_paths.emplace_back(next());
-    } else if (arg == "--threads") {
-      options.analytics_threads = std::atoi(next());
     } else if (arg == "--shards") {
-      options.ingest_shards = std::atoi(next());
+      const std::string_view value = next();
+      const char* const last = value.data() + value.size();
+      const auto [end, ec] =
+          std::from_chars(value.data(), last, options.ingest_shards);
+      if (ec != std::errc{} || end != last || options.ingest_shards < 1 ||
+          options.ingest_shards > scenario::kMaxIngestShards) {
+        std::fprintf(stderr,
+                     "%s: --shards wants a count in 1-%d, got \"%s\"\n",
+                     argv[0], scenario::kMaxIngestShards, value.data());
+        return 2;
+      }
     } else if (arg == "--manifest-dir") {
       manifest_dir = next();
     } else if (arg == "--golden") {
@@ -155,6 +165,9 @@ int main(int argc, char** argv) {
                   "accuracy %.3f\n",
                   pack.name.c_str(), result.digest.c_str(), result.passed,
                   result.scores.size(), result.accuracy);
+      std::printf("  analytics: %s\n", result.learned_beside_localize
+                                            ? "learn beside localize"
+                                            : "serial (one usable CPU)");
       if (result.restarted) {
         std::printf("  restart: %s (restarted %s, uninterrupted %s)\n",
                     result.restart_ok ? "recovered bit-identical"
